@@ -10,13 +10,14 @@ the boundary only.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import oracle
+from ._csvio import open_csv, write_rows
 from .dist import SalesRateDistribution, discrete_rates
 from .fit import FitOptions, RankingTrajectory, fit_pareto
 from .limit import build_share_report, x_c, y_c
@@ -25,6 +26,7 @@ from .sim import SimulationConfig, run_simulation
 _TIME_UNIT_HOURS = {"hour": 1.0, "day": 24.0, "month": 720.0}
 
 _FMT = "{:.12g}"
+_MAX_OBSERVATIONS = 10**6  # cap on the simulate observation grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +55,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _make_dist(a: float, b: float, gamma: float) -> SalesRateDistribution:
-    if gamma > 0.0:
+    if gamma != 0.0:  # NaN and negative values reach the cutoff law's checks
         return SalesRateDistribution.pareto_cutoff(a, b, gamma)
     return SalesRateDistribution.pareto(a, b)
 
@@ -96,7 +98,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
+def _load_sim_config(path: str) -> SimulationConfig:
     required = {"n_items", "a", "b", "horizon", "seed", "observe_every"}
     optional = {"gamma", "track_item", "snapshots", "max_events"}
     values: dict[str, str] = {}
@@ -120,9 +122,13 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
     gamma = float(values.get("gamma", "0"))
     horizon = float(values["horizon"])
     every = float(values["observe_every"])
-    if every <= 0.0:
-        raise ValueError(f"{path}: observe_every must be positive")
-    observe_times = np.arange(every, horizon * (1.0 + 1e-12), every)
+    if not (every > 0.0 and 0.0 < horizon < math.inf):
+        raise ValueError(f"{path}: need observe_every > 0 and a finite horizon > 0")
+    stop = horizon * (1.0 + 1e-12)
+    if (stop - every) / every >= _MAX_OBSERVATIONS:
+        raise ValueError(f"{path}: horizon/observe_every asks for more than "
+                         f"{_MAX_OBSERVATIONS} observations")
+    observe_times = np.arange(every, stop, every)
     track = values.get("track_item")
     track_item = int(track) if track not in (None, "") else None
     initial_order = None
@@ -130,48 +136,42 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
         # the tracked item plays the just-sold observer: it starts at rank 1
         if not 0 <= track_item < n_items:
             raise ValueError(f"{path}: track_item out of range")
-        initial_order = np.empty(n_items, dtype=np.int64)
+        initial_order = np.arange(1, n_items + 1) + (np.arange(n_items) < track_item)
         initial_order[track_item] = 1
-        others = np.arange(n_items) != track_item
-        initial_order[others] = np.arange(2, n_items + 1)
-    snapshots = values.get("snapshots", "0").lower() in ("1", "true", "yes")
-    cfg = SimulationConfig(
+    return SimulationConfig(
         rates=discrete_rates(n_items, a, b, gamma),
         horizon=horizon,
         seed=int(values["seed"]),
         observe_times=observe_times,
         initial_order=initial_order,
         track_item=track_item,
-        record_snapshots=snapshots,
+        record_events=False,  # _cmd_simulate streams the log to its CSV
+        record_snapshots=values.get("snapshots", "0").lower() in ("1", "true", "yes"),
         max_events=float(values.get("max_events", "1e8")),
     )
-    return cfg, snapshots
 
 
 def _cmd_simulate(args) -> int:
-    cfg, snapshots = _load_sim_config(args.config)
+    cfg = _load_sim_config(args.config)
     events_path = f"{args.output_prefix}_events.csv"
     traj_path = f"{args.output_prefix}_trajectory.csv"
-    _ensure_writable(events_path, args.force)
-    _ensure_writable(traj_path, args.force)
-    run = run_simulation(cfg)
-    with open(events_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "item"])
-        for t, i in zip(run.event_times, run.event_items):
-            writer.writerow([f"{t:.12g}", int(i)])
+    snap_paths = [f"{args.output_prefix}_snapshot_{k:04d}.csv"
+                  for k in range(cfg.observe_times.size if cfg.record_snapshots else 0)]
+    for path in (events_path, traj_path, *snap_paths):
+        _ensure_writable(path, args.force)  # before the run, so nothing is half written
+    fh = open_csv(events_path, ["t", "item"])
+    try:
+        with fh:
+            run = run_simulation(cfg, sink=lambda t, i: write_rows(fh, "%.12g,%d", t, i))
+    except BaseException:
+        os.remove(events_path)  # a failed run leaves no partial event log
+        raise
     if run.tracked_trajectory is not None:
         run.tracked_trajectory.to_csv(traj_path)
-    if snapshots:
-        for k, theta in enumerate(run.observe_times):
-            snap_path = f"{args.output_prefix}_snapshot_{k:04d}.csv"
-            _ensure_writable(snap_path, args.force)
-            ranks = run.snapshot_at(theta)
-            with open(snap_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["item", "w", "rank"])
-                for i in range(run.n_items):
-                    writer.writerow([i, f"{cfg.rates[i]:.12g}", int(ranks[i])])
+    for path, theta in zip(snap_paths, run.observe_times):
+        with open_csv(path, ["item", "w", "rank"]) as fh:
+            write_rows(fh, "%d,%.12g,%d", range(cfg.n_items), cfg.rates,
+                       run.snapshot_at(theta))
     print(f"simulate: {run.total_events} events, wrote {events_path}")
     return 0
 

@@ -14,12 +14,12 @@ the limiting scaled ranking curve is 1 - L(t).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvio import open_csv, read_columns, write_rows
 from .special import _gamma_upper, _gamma_upper_grid
 
 __all__ = [
@@ -54,23 +54,23 @@ class SalesRateDistribution:
 
     def __post_init__(self):
         if self.kind in ("pareto", "pareto_cutoff"):
-            if self.a is None or not self.a > 0.0:
-                raise ValueError("minimum sales rate a must be positive")
+            if self.a is None or not 0.0 < self.a < math.inf:
+                raise ValueError("minimum sales rate a must be positive and finite")
             if self.b is None or not 0.0 < self.b <= 2.0:
                 raise ValueError("exponent b must lie in (0, 2]")
             if abs(self.b - 1.0) < _B_GUARD:
                 raise ValueError(f"exponent b must stay outside 1 +/- {_B_GUARD}")
             if self.kind == "pareto_cutoff":
-                if self.gamma < 0.0:
-                    raise ValueError("cutoff ratio gamma must be non-negative")
+                if not 0.0 <= self.gamma < math.inf:
+                    raise ValueError("cutoff ratio gamma must be finite and non-negative")
             elif self.gamma != 0.0:
                 raise ValueError("plain pareto takes no cutoff parameter")
         elif self.kind == "empirical":
             rates = np.asarray(self.rates, dtype=float)
             if rates.ndim != 1 or rates.size == 0:
                 raise ValueError("empirical distribution needs a non-empty 1-d rate list")
-            if not np.all(rates > 0.0):
-                raise ValueError("all empirical rates must be strictly positive; "
+            if not np.all((rates > 0.0) & np.isfinite(rates)):
+                raise ValueError("all empirical rates must be finite and strictly positive; "
                                  "drop zero-rate items before loading")
             object.__setattr__(self, "rates", rates)
         else:
@@ -238,34 +238,21 @@ def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.n
     return a * ((n_items + n0) / (i + n0)) ** (1.0 / b)
 
 
+def _rate(text: str) -> float:
+    w = float(text)
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"rate must be finite and positive, got {w}")
+    return w
+
+
 def load_rates_csv(path) -> SalesRateDistribution:
     """Read an empirical distribution from a one-column CSV with header ``w``."""
-    rates = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["w"]:
-            raise ValueError(f"{path}: expected single-column header 'w'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise ValueError(f"{path}:{lineno}: expected one value per line")
-            try:
-                w = float(row[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {row[0]!r}") from None
-            if not w > 0.0:
-                raise ValueError(f"{path}:{lineno}: rate must be positive, got {w}")
-            rates.append(w)
+    (rates,) = read_columns(path, ["w"], (_rate,))
     if not rates:
         raise ValueError(f"{path}: no rates found")
     return SalesRateDistribution.empirical(rates)
 
 
 def save_rates_csv(path, rates) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w"])
-        for w in np.asarray(rates, dtype=float):
-            writer.writerow([f"{w:.12g}"])
+    with open_csv(path, ["w"]) as fh:
+        write_rows(fh, "%.12g", np.asarray(rates, dtype=float))

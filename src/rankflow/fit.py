@@ -9,7 +9,6 @@ gradient steps unreliable there.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -20,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from ._csvio import open_csv, read_columns, write_rows
+from .dist import _B_GUARD
 from .limit import _pareto_y_grid
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "fit_pareto",
     "classify_regime",
 ]
-
-_B_GUARD = 1e-6
 
 TRAJECTORY_HEADER = ["t_hours", "rank"]
 
@@ -55,6 +54,8 @@ class RankingTrajectory:
         self.ranks = np.asarray(self.ranks, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.ranks.shape:
             raise ValueError("times and ranks must be matching 1-d arrays")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.ranks))):
+            raise ValueError("times and ranks must be finite")
         if self.times.size and self.times[0] < 0.0:
             raise ValueError("times must be non-negative")
         if np.any(np.diff(self.times) <= 0.0):
@@ -70,32 +71,12 @@ class RankingTrajectory:
         return list(zip(self.times.tolist(), self.ranks.tolist()))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAJECTORY_HEADER)
-            for t, r in zip(self.times, self.ranks):
-                writer.writerow([f"{t:.12g}", f"{r:.12g}"])
+        with open_csv(path, TRAJECTORY_HEADER) as fh:
+            write_rows(fh, "%.12g,%.12g", self.times, self.ranks)
 
     @classmethod
     def from_csv(cls, path, meta: str = "") -> "RankingTrajectory":
-        times, ranks = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            if [h.strip() for h in header] != TRAJECTORY_HEADER:
-                raise ValueError(f"{path}: expected header {','.join(TRAJECTORY_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected two comma-separated values")
-                try:
-                    times.append(float(row[0]))
-                    ranks.append(float(row[1]))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed number in {row!r}") from None
+        times, ranks = read_columns(path, TRAJECTORY_HEADER, (float, float))
         if not times:
             raise ValueError(f"{path}: no observations found")
         return cls(np.array(times), np.array(ranks), meta=meta or str(path))

@@ -11,12 +11,12 @@ differ from the potential-ordered share S_pot.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import open_csv, read_columns, write_rows
 from .dist import SalesRateDistribution, band_laplace, band_mass, laplace_transform
 from .special import _gamma_upper, _gamma_upper_grid
 
@@ -290,22 +290,14 @@ class SalesShareReport:
     CSV_HEADER = ["r", "q", "S_potential", "S_ranking", "ratio"]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for row in zip(self.r, self.q, self.s_potential, self.s_ranking, self.ratio):
-                writer.writerow([f"{v:.12g}" for v in row])
+        with open_csv(path, self.CSV_HEADER) as fh:
+            write_rows(fh, ",".join(["%.12g"] * 5), self.r, self.q,
+                       self.s_potential, self.s_ranking, self.ratio)
 
     @classmethod
     def from_csv(cls, path) -> "SalesShareReport":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"{path}: expected header {','.join(cls.CSV_HEADER)}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        cols = np.array(rows, dtype=float).reshape(-1, 5).T
-        return cls(*cols)
+        cols = read_columns(path, cls.CSV_HEADER, [float] * 5)
+        return cls(*(np.array(c, dtype=float) for c in cols))
 
 
 def build_share_report(dist: SalesRateDistribution, r_grid) -> SalesShareReport:

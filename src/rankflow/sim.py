@@ -15,12 +15,12 @@ joint (rate, scaled rank) histogram converges on the limiting measure.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvio import read_columns
 from .dist import SalesRateDistribution
 from .fit import RankingTrajectory
 from .limit import y_c
@@ -74,10 +74,10 @@ class SimulationConfig:
         self.rates = np.asarray(self.rates, dtype=float)
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise ValueError("rates must be a non-empty 1-d array")
-        if not np.all(self.rates > 0.0):
-            raise ValueError("all rates must be strictly positive")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not np.all((self.rates > 0.0) & np.isfinite(self.rates)):
+            raise ValueError("all rates must be finite and strictly positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         self.observe_times = np.asarray(self.observe_times, dtype=float)
         if np.any(np.diff(self.observe_times) < 0.0):
             raise ValueError("observe_times must be sorted")
@@ -133,23 +133,31 @@ class SimulationRun:
 
 
 def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias table: accept[i] threshold and alias[i] fallback."""
+    """Vose alias table (IEEE TSE 17, 1991): accept[i] threshold, alias[i] fallback.
+
+    Small items (scaled weight < 1) borrow their deficit from large items in
+    index order; a large item whose excess runs dry becomes small and borrows
+    its shortfall from the next large item. With D and E the running sums of
+    deficits and excesses, every hand-over is one searchsorted.
+    """
     n = weights.size
     scaled = weights * (n / weights.sum())
-    accept = np.ones(n)
+    accept = np.minimum(scaled, 1.0)
     alias = np.arange(n, dtype=np.int64)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    for i in large + small:
-        accept[i] = 1.0
+    small, large = np.flatnonzero(scaled < 1.0), np.flatnonzero(scaled >= 1.0)
+    d_cum = np.cumsum(1.0 - scaled[small])
+    e_cum = np.cumsum(scaled[large] - 1.0)
+    # small i borrows from the first large k with E_k > D_{i-1}. k never
+    # decreases; rounding can leave a tail past the last large item, and
+    # those keep themselves as alias (mass 1, off by rounding only)
+    k = np.searchsorted(e_cum, np.concatenate(([0.0], d_cum))[:-1], side="right")
+    lent = int(np.searchsorted(k, large.size))
+    alias[small[:lent]] = large[k[:lent]]
+    # large k runs dry at the first D_j > E_k and borrows D_j - E_k from k + 1
+    j = np.searchsorted(d_cum, e_cum[:-1], side="right")
+    dry = np.flatnonzero(j < small.size)
+    accept[large[dry]] = np.clip(1.0 - (d_cum[j[dry]] - e_cum[dry]), 0.0, 1.0)
+    alias[large[dry]] = large[dry + 1]
     return accept, alias
 
 
@@ -210,8 +218,13 @@ class _State:
         return ranks
 
 
-def run_simulation(config: SimulationConfig) -> SimulationRun:
-    """Run the process to the horizon; deterministic in the seed."""
+def run_simulation(config: SimulationConfig, sink=None) -> SimulationRun:
+    """Run the process to the horizon; deterministic in the seed.
+
+    ``sink(times, items)``, when given, receives each chunk of events after
+    the chunk is applied, so a caller can stream the log instead of keeping
+    it (``record_events=False``). It does not change the draws.
+    """
     rates = config.rates
     total_rate = float(rates.sum())
     expected = total_rate * config.horizon
@@ -225,8 +238,7 @@ def run_simulation(config: SimulationConfig) -> SimulationRun:
     state = _State(config)
     obs = config.observe_times
     obs_idx = 0
-    ev_times: list[np.ndarray] = []
-    ev_items: list[np.ndarray] = []
+    ev_times, ev_items = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     t_cursor = 0.0
     seq_base = 0
     done = False
@@ -256,7 +268,9 @@ def run_simulation(config: SimulationConfig) -> SimulationRun:
             obs_idx += 1
         if applied < n_valid:
             state.apply(items[applied:], times[applied:], seq_base + applied)
-        if config.record_events and n_valid:
+        if sink is not None and n_valid:
+            sink(times, items)
+        if config.record_events:
             ev_times.append(times.copy())
             ev_items.append(items.copy())
         seq_base += n_valid
@@ -275,10 +289,8 @@ def run_simulation(config: SimulationConfig) -> SimulationRun:
         total_events=seq_base,
         first_sale=state.first_time,
         last_sale=last_sale,
-        event_times=np.concatenate(ev_times) if config.record_events and ev_times else (
-            np.array([]) if config.record_events else None),
-        event_items=np.concatenate(ev_items) if config.record_events and ev_items else (
-            np.array([], dtype=np.int64) if config.record_events else None),
+        event_times=np.concatenate(ev_times) if config.record_events else None,
+        event_items=np.concatenate(ev_items) if config.record_events else None,
         observe_times=obs.copy(),
         boundary_counts=np.array(state.boundary, dtype=np.int64),
         snapshots=state.snapshots,
@@ -293,11 +305,8 @@ def x_c_trajectory(run: SimulationRun, item: int) -> RankingTrajectory:
     if run.config.track_item == item and run.tracked_trajectory is not None:
         return run.tracked_trajectory
     if run.snapshots:
-        ts, ranks = [], []
-        for theta in run.observe_times:
-            ts.append(theta)
-            ranks.append(float(run.snapshot_at(theta)[item]))
-        return RankingTrajectory(np.array(ts), np.array(ranks),
+        ranks = [float(run.snapshot_at(theta)[item]) for theta in run.observe_times]
+        return RankingTrajectory(run.observe_times.copy(), np.array(ranks),
                                  meta=f"item {item} from snapshots")
     raise ValueError("item was not tracked and no snapshots were recorded")
 
@@ -320,41 +329,14 @@ def empirical_joint_measure(run: SimulationRun, t: float,
 
 def load_events_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an event-log CSV with header ``t,item``."""
-    times, items = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "item"]:
-            raise ValueError(f"{path}: expected header t,item")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                items.append(int(row[1]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: malformed event row {row!r}") from None
-    return np.array(times), np.array(items, dtype=np.int64)
+    times, items = read_columns(path, ["t", "item"], (float, int))
+    return np.array(times, dtype=float), np.array(items, dtype=np.int64)
 
 
 def load_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a snapshot CSV with header ``item,w,rank``."""
-    items, rates, ranks = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["item", "w", "rank"]:
-            raise ValueError(f"{path}: expected header item,w,rank")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                items.append(int(row[0]))
-                rates.append(float(row[1]))
-                ranks.append(int(row[2]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: malformed snapshot row {row!r}") from None
-    return (np.array(items, dtype=np.int64), np.array(rates),
+    items, rates, ranks = read_columns(path, ["item", "w", "rank"], (int, float, int))
+    return (np.array(items, dtype=np.int64), np.array(rates, dtype=float),
             np.array(ranks, dtype=np.int64))
 
 

@@ -1,15 +1,19 @@
 """Command-line surface: exit codes, file formats, and round trips."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rankflow.cli as cli
-from rankflow.dist import SalesRateDistribution, discrete_rates
+from rankflow.dist import SalesRateDistribution, discrete_rates, save_rates_csv
 from rankflow.fit import FitResult, RankingTrajectory, fit_pareto
 from rankflow.limit import SalesShareReport
 from rankflow.sim import (
@@ -21,6 +25,20 @@ from rankflow.sim import (
 )
 
 LOW_A, LOW_B = 3.939e-4, 0.6312
+
+
+def csv_writer_text(header, rows):
+    """Reference bytes: the standard library's csv.writer, one call per row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def read_raw(path):
+    with open(path, newline="") as fh:
+        return fh.read()
 
 
 def low_trajectory_csv(tmp_path, sigma=1.441e4, seed=0, name="traj.csv"):
@@ -54,6 +72,13 @@ class TestFitCommand:
         short.write_text("t_hours,rank\n" + rows + "\n")
         assert cli.main(["fit", str(short), "-o", str(tmp_path / "o.json")]) == 1
         assert "insufficient observations" in capsys.readouterr().err
+
+    def test_nan_rank_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("t_hours,rank\n" + "".join(
+            f"{t},{'nan' if t == 3 else 10 * t}\n" for t in range(1, 9)))
+        assert cli.main(["fit", str(path), "-o", str(tmp_path / "f.json")]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -117,6 +142,11 @@ class TestSharesCommand:
     def test_bad_parameters(self, tmp_path, capsys):
         assert cli.main(["shares", "--a", "-1", "--b", "1.2",
                          "-o", str(tmp_path / "s.csv")]) == 1
+        for bad in (["--a", "inf"], ["--a", "1", "--gamma", "nan"],
+                    ["--a", "1", "--gamma", "inf"]):
+            assert cli.main(["shares", *bad, "--b", "1.2",
+                             "-o", str(tmp_path / "s.csv")]) == 1
+        assert not (tmp_path / "s.csv").exists()
         capsys.readouterr()
 
 
@@ -194,6 +224,114 @@ class TestSimulateCommand:
         missing.write_text("n_items=10\n")
         assert cli.main(["simulate", str(missing), "-o", str(tmp_path / "y")]) == 1
         assert "missing keys" in capsys.readouterr().err
+
+    def test_streamed_outputs_match_csv_writer(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        write_sim_config(config, n_items=3000, a=1.0, horizon=12.0, observe_every=6.0,
+                         track_item=7, snapshots=1)
+        prefix = tmp_path / "run"
+        assert cli.main(["simulate", str(config), "-o", str(prefix)]) == 0
+        cfg = cli._load_sim_config(str(config))
+        run = run_simulation(dataclasses.replace(cfg, record_events=True))
+        assert run.total_events > 2 ** 19  # more than one chunk
+        events = csv_writer_text(["t", "item"],
+                                 ([f"{t:.12g}", int(i)] for t, i in
+                                  zip(run.event_times, run.event_items)))
+        assert read_raw(f"{prefix}_events.csv") == events
+        for k, theta in enumerate(run.observe_times):
+            ranks = run.snapshot_at(theta)
+            snap = csv_writer_text(["item", "w", "rank"],
+                                   ([i, f"{cfg.rates[i]:.12g}", int(ranks[i])]
+                                    for i in range(run.n_items)))
+            assert read_raw(f"{prefix}_snapshot_{k:04d}.csv") == snap
+        traj = run.tracked_trajectory
+        assert read_raw(f"{prefix}_trajectory.csv") == csv_writer_text(
+            ["t_hours", "rank"], ([f"{t:.12g}", f"{r:.12g}"]
+                                  for t, r in zip(traj.times, traj.ranks)))
+
+    def test_memory_does_not_grow_with_events(self, tmp_path, monkeypatch):
+        # small chunks keep both runs many chunks long, so chunk-sized
+        # temporaries are the same in both and only a kept log would differ
+        monkeypatch.setattr("rankflow.sim._CHUNK", 2 ** 14)
+
+        def peak_bytes(horizon, name):
+            config = tmp_path / f"{name}.cfg"
+            write_sim_config(config, n_items=2000, a=1.0, horizon=horizon,
+                             observe_every=horizon / 4, track_item=0)
+            tracemalloc.start()
+            try:
+                code = cli.main(["simulate", str(config), "-o", str(tmp_path / name)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1.0, "warm")
+        code_1, short = peak_bytes(1.5, "short")    # about 80k events
+        code_4, long_ = peak_bytes(6.0, "long")     # about 320k events
+        assert code_1 == code_4 == 0
+        # keeping the log would add at least 16 B per event, about 4 MB here
+        assert long_ - short < 2 ** 20
+
+    def test_observation_grid_is_capped(self, tmp_path, capsys):
+        config = tmp_path / "huge.cfg"
+        write_sim_config(config, horizon=1e6, observe_every=1e-9)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        assert "observations" in capsys.readouterr().err
+        # at twice the cap the grid would take 16 MB; it is never built
+        write_sim_config(config, horizon=2e6, observe_every=1.0)
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", str(config), "-o", str(tmp_path / "y")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 4 * 2 ** 20
+        assert "observations" in capsys.readouterr().err
+
+    def test_capacity_error_leaves_no_event_log(self, tmp_path, capsys):
+        config = tmp_path / "cap.cfg"
+        write_sim_config(config, max_events=10)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 1
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not (tmp_path / "run_events.csv").exists()
+
+    def test_existing_snapshot_stops_before_the_run(self, tmp_path, capsys):
+        config = tmp_path / "snap.cfg"
+        write_sim_config(config, n_items=50, horizon=10.0, observe_every=5.0,
+                         track_item=0, snapshots=1)
+        (tmp_path / "run_snapshot_0001.csv").write_text("keep me")
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 1
+        assert "--force" in capsys.readouterr().err
+        assert not (tmp_path / "run_events.csv").exists()
+        assert not (tmp_path / "run_snapshot_0000.csv").exists()
+        assert (tmp_path / "run_snapshot_0001.csv").read_text() == "keep me"
+
+    def test_infinite_rate_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        write_sim_config(config, n_items=10, a="inf", horizon=1.0, observe_every=1.0,
+                         track_item=0)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+class TestCsvWriters:
+    """Block-formatted files are byte-identical to csv.writer output."""
+
+    def test_trajectory_shares_and_rates(self, tmp_path):
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.exponential(5.0, 20000))
+        ranks = 1.0 + rng.random(20000) * 1e6
+        traj = RankingTrajectory(times, ranks)
+        traj.to_csv(tmp_path / "traj.csv")
+        assert read_raw(tmp_path / "traj.csv") == csv_writer_text(
+            ["t_hours", "rank"], ([f"{t:.12g}", f"{r:.12g}"] for t, r in zip(times, ranks)))
+        cols = rng.random((5, 40)) * 10.0 ** rng.integers(-12, 12, (5, 40))
+        SalesShareReport(*cols).to_csv(tmp_path / "shares.csv")
+        assert read_raw(tmp_path / "shares.csv") == csv_writer_text(
+            SalesShareReport.CSV_HEADER, ([f"{v:.12g}" for v in row] for row in cols.T))
+        save_rates_csv(tmp_path / "rates.csv", ranks)
+        assert read_raw(tmp_path / "rates.csv") == csv_writer_text(
+            ["w"], ([f"{w:.12g}"] for w in ranks))
 
 
 class TestRoundTripInvariant:

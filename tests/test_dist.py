@@ -32,6 +32,9 @@ def test_validation():
         SalesRateDistribution.pareto(1.0, 1.0 + 5e-7)  # inside the guard band
     with pytest.raises(ValueError):
         SalesRateDistribution.pareto_cutoff(1.0, 0.5, -0.1)
+    for a, gamma in [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            SalesRateDistribution.pareto_cutoff(a, 0.5, gamma)
     with pytest.raises(ValueError):
         SalesRateDistribution.empirical([1.0, 0.0, 2.0])
     with pytest.raises(ValueError):
@@ -178,3 +181,12 @@ def test_rates_csv_errors(tmp_path):
     nonpositive.write_text("w\n1.0\n0.0\n")
     with pytest.raises(ValueError, match="positive"):
         load_rates_csv(nonpositive)
+
+
+def test_rates_csv_rejects_infinite_rate(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("w\n1.0\ninf\n")
+    with pytest.raises(ValueError, match=":3: rate must be finite"):
+        load_rates_csv(path)
+    with pytest.raises(ValueError, match="finite"):
+        SalesRateDistribution.empirical([1.0, math.inf])

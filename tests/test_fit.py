@@ -41,6 +41,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             RankingTrajectory([-1.0, 1.0], [2.0, 2.0])
 
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            RankingTrajectory([0.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+
+    def test_rejects_nan_rank(self):
+        with pytest.raises(ValueError, match="finite"):
+            RankingTrajectory([0.0, 1.0, 2.0], [1.0, math.nan, 3.0])
+
     def test_csv_round_trip(self, tmp_path):
         traj = RankingTrajectory([1.0, 2.5, 7.0], [10.0, 25.5, 80.0], meta="x")
         path = tmp_path / "traj.csv"

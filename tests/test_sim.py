@@ -9,6 +9,7 @@ from rankflow.dist import SalesRateDistribution, discrete_rates
 from rankflow.limit import stationary_joint_cdf, y_c
 from rankflow.sim import (
     CapacityError,
+    _build_alias,
     MissingSnapshotError,
     SimulationConfig,
     empirical_joint_measure,
@@ -251,3 +252,54 @@ def test_event_and_snapshot_csv_readers(tmp_path):
     bad.write_text("t,item\nxx,0\n")
     with pytest.raises(ValueError, match=":2"):
         load_events_csv(bad)
+
+
+def _implied_weights(accept, alias):
+    """Probability mass each item receives from an alias table, times N."""
+    return accept + np.bincount(alias, 1.0 - accept, minlength=accept.size)
+
+
+@pytest.mark.parametrize("n", [7, 1000, 10**6])
+@pytest.mark.parametrize("b, gamma", [(LOW_B, 0.0), (1.2, 0.0), (LOW_B, 0.1)])
+def test_alias_table_reproduces_weights(n, b, gamma):
+    w = discrete_rates(n, LOW_A, b, gamma)
+    accept, alias = _build_alias(w)
+    assert np.all((accept >= 0.0) & (accept <= 1.0))
+    assert np.all((alias >= 0) & (alias < n))
+    scaled = w * (n / w.sum())
+    np.testing.assert_allclose(_implied_weights(accept, alias), scaled, rtol=1e-7)
+
+
+@pytest.mark.parametrize("w", [np.full(9, 2.5), np.array([3.0]),
+                               np.r_[np.ones(500), 1e9, np.ones(500)],
+                               np.r_[1e9, np.ones(1000)]],
+                         ids=["equal", "single", "dominant-mid", "dominant-first"])
+def test_alias_table_edge_cases(w):
+    accept, alias = _build_alias(w)
+    assert np.all((accept >= 0.0) & (accept <= 1.0))
+    np.testing.assert_allclose(_implied_weights(accept, alias), w * (w.size / w.sum()),
+                               rtol=1e-7)
+
+
+def test_sink_streams_the_recorded_events():
+    chunks = []
+    cfg = dict(rates=discrete_rates(2000, 1.0, 0.8), horizon=15.0, seed=4,
+               observe_times=np.array([5.0, 15.0]), track_item=3)
+    streamed = run_simulation(SimulationConfig(record_events=False, **cfg),
+                              sink=lambda t, i: chunks.append((t.copy(), i.copy())))
+    recorded = run_simulation(SimulationConfig(**cfg))
+    assert len(chunks) > 1 and streamed.event_times is None
+    np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]),
+                                  recorded.event_times)
+    np.testing.assert_array_equal(np.concatenate([i for _, i in chunks]),
+                                  recorded.event_items)
+    np.testing.assert_array_equal(streamed.tracked_trajectory.ranks,
+                                  recorded.tracked_trajectory.ranks)
+
+
+@pytest.mark.parametrize("bad", [{"rates": np.array([1.0, math.inf])},
+                                 {"horizon": math.inf}])
+def test_config_rejects_non_finite_inputs(bad):
+    kwargs = dict(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        SimulationConfig(**{**kwargs, **bad})
