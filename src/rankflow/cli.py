@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import oracle
 from ._csvio import open_csv, write_rows
 from .dist import SalesRateDistribution, discrete_rates
 from .fit import FitOptions, RankingTrajectory, fit_pareto
@@ -195,6 +194,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle  # imported here: scipy.integrate slows every other verb's start
     if args.what == "gamma":
         v, e = oracle.gamma_quad(args.z, args.p)
         print(f"{_FMT.format(v)} +- {e:.3g}")

@@ -78,11 +78,10 @@ class SimulationConfig:
             raise ValueError("all rates must be finite and strictly positive")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
-        self.observe_times = np.asarray(self.observe_times, dtype=float)
-        if np.any(np.diff(self.observe_times) < 0.0):
-            raise ValueError("observe_times must be sorted")
-        if self.observe_times.size and (self.observe_times[0] < 0.0
-                                        or self.observe_times[-1] > self.horizon):
+        obs = self.observe_times = np.asarray(self.observe_times, dtype=float)
+        if not np.all(np.isfinite(obs)) or np.any(np.diff(obs) < 0.0):
+            raise ValueError("observe_times must be finite and sorted")
+        if obs.size and (obs[0] < 0.0 or obs[-1] > self.horizon):
             raise ValueError("observe_times must lie within [0, horizon]")
         n = self.rates.size
         if self.initial_order is None:

@@ -298,7 +298,8 @@ def test_sink_streams_the_recorded_events():
 
 
 @pytest.mark.parametrize("bad", [{"rates": np.array([1.0, math.inf])},
-                                 {"horizon": math.inf}])
+                                 {"horizon": math.inf},
+                                 {"observe_times": np.array([0.5, math.nan])}])
 def test_config_rejects_non_finite_inputs(bad):
     kwargs = dict(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="finite"):
