@@ -135,8 +135,10 @@ def _load_sim_config(path: str) -> SimulationConfig:
         # the tracked item plays the just-sold observer: it starts at rank 1
         if not 0 <= track_item < n_items:
             raise ValueError(f"{path}: track_item out of range")
-        initial_order = np.arange(1, n_items + 1) + (np.arange(n_items) < track_item)
+        initial_order = np.empty(n_items, dtype=np.int64)
         initial_order[track_item] = 1
+        others = np.arange(n_items) != track_item
+        initial_order[others] = np.arange(2, n_items + 1)
     return SimulationConfig(
         rates=discrete_rates(n_items, a, b, gamma),
         horizon=horizon,

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._csvio import open_csv, read_columns, write_rows
-from .dist import _B_GUARD
 from .limit import _pareto_y_grid
 
 __all__ = [
@@ -33,6 +32,8 @@ __all__ = [
     "fit_pareto",
     "classify_regime",
 ]
+
+_B_GUARD = 1e-6
 
 TRAJECTORY_HEADER = ["t_hours", "rank"]
 

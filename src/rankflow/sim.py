@@ -134,16 +134,17 @@ class SimulationRun:
 def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vose alias table (IEEE TSE 17, 1991): accept[i] threshold, alias[i] fallback.
 
-    Small items (scaled weight < 1) borrow their deficit from large items in
-    index order; a large item whose excess runs dry becomes small and borrows
-    its shortfall from the next large item. With D and E the running sums of
-    deficits and excesses, every hand-over is one searchsorted.
+    Small items (scaled weight < 1) borrow their deficit from large items
+    (scaled weight > 1) in index order; a large item whose excess runs dry
+    becomes small and borrows its shortfall from the next large item. Items at
+    exactly 1 keep themselves. With D and E the running sums of deficits and
+    excesses (E strictly increasing), every hand-over is one searchsorted.
     """
     n = weights.size
     scaled = weights * (n / weights.sum())
     accept = np.minimum(scaled, 1.0)
     alias = np.arange(n, dtype=np.int64)
-    small, large = np.flatnonzero(scaled < 1.0), np.flatnonzero(scaled >= 1.0)
+    small, large = np.flatnonzero(scaled < 1.0), np.flatnonzero(scaled > 1.0)
     d_cum = np.cumsum(1.0 - scaled[small])
     e_cum = np.cumsum(scaled[large] - 1.0)
     # small i borrows from the first large k with E_k > D_{i-1}. k never
@@ -152,8 +153,9 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.searchsorted(e_cum, np.concatenate(([0.0], d_cum))[:-1], side="right")
     lent = int(np.searchsorted(k, large.size))
     alias[small[:lent]] = large[k[:lent]]
-    # large k runs dry at the first D_j > E_k and borrows D_j - E_k from k + 1
-    j = np.searchsorted(d_cum, e_cum[:-1], side="right")
+    # large k runs dry at the first D_j >= E_k (small j straddles E_k, so it
+    # was given to k or an earlier large item) and borrows D_j - E_k from k + 1
+    j = np.searchsorted(d_cum, e_cum[:-1], side="left")
     dry = np.flatnonzero(j < small.size)
     accept[large[dry]] = np.clip(1.0 - (d_cum[j[dry]] - e_cum[dry]), 0.0, 1.0)
     alias[large[dry]] = large[dry + 1]
@@ -304,8 +306,11 @@ def x_c_trajectory(run: SimulationRun, item: int) -> RankingTrajectory:
     if run.config.track_item == item and run.tracked_trajectory is not None:
         return run.tracked_trajectory
     if run.snapshots:
-        ranks = [float(run.snapshot_at(theta)[item]) for theta in run.observe_times]
-        return RankingTrajectory(run.observe_times.copy(), np.array(ranks),
+        ts, ranks = [], []
+        for theta in run.observe_times:
+            ts.append(theta)
+            ranks.append(float(run.snapshot_at(theta)[item]))
+        return RankingTrajectory(np.array(ts), np.array(ranks),
                                  meta=f"item {item} from snapshots")
     raise ValueError("item was not tracked and no snapshots were recorded")
 

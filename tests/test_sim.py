@@ -272,13 +272,26 @@ def test_alias_table_reproduces_weights(n, b, gamma):
 
 @pytest.mark.parametrize("w", [np.full(9, 2.5), np.array([3.0]),
                                np.r_[np.ones(500), 1e9, np.ones(500)],
-                               np.r_[1e9, np.ones(1000)]],
-                         ids=["equal", "single", "dominant-mid", "dominant-first"])
+                               np.r_[1e9, np.ones(1000)], np.array([1.0, 2.0, 3.0]),
+                               np.array([1.0, 1.0, 3.0, 3.0])],
+                         ids=["equal", "single", "dominant-mid", "dominant-first",
+                              "unit-weight", "excess-ties-deficit"])
 def test_alias_table_edge_cases(w):
     accept, alias = _build_alias(w)
     assert np.all((accept >= 0.0) & (accept <= 1.0))
     np.testing.assert_allclose(_implied_weights(accept, alias), w * (w.size / w.sum()),
                                rtol=1e-7)
+
+
+def test_alias_table_with_tied_integer_weights():
+    # small integer weights make scaled weights of exactly 1 and exact ties
+    # between running deficits and excesses
+    rng = np.random.default_rng(5)
+    for n in range(2, 40):
+        w = rng.integers(1, 5, size=n).astype(float)
+        accept, alias = _build_alias(w)
+        np.testing.assert_allclose(_implied_weights(accept, alias), w * (n / w.sum()),
+                                   rtol=1e-9)
 
 
 def test_sink_streams_the_recorded_events():
