@@ -19,7 +19,7 @@ import numpy as np
 from ._csvio import open_csv, write_rows
 from .dist import SalesRateDistribution, discrete_rates
 from .fit import FitOptions, RankingTrajectory, fit_pareto
-from .limit import build_share_report, x_c, y_c
+from .limit import build_share_report, y_c
 from .sim import SimulationConfig, run_simulation
 
 _TIME_UNIT_HOURS = {"hour": 1.0, "day": 24.0, "month": 720.0}
@@ -47,8 +47,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError(f"bad grid spec {spec!r}; expected start:stop:step") from None
-    if step <= 0.0 or stop < start:
-        raise ValueError(f"bad grid spec {spec!r}: need step > 0 and stop >= start")
+    if not (math.isfinite(start) and start <= stop < math.inf and 0.0 < step < math.inf):
+        raise ValueError(f"bad grid spec {spec!r}: need finite values, step > 0 "
+                         "and stop >= start")
     n = int(round((stop - start) / step))
     return start + step * np.arange(n + 1)
 
@@ -85,15 +86,21 @@ def _cmd_shares(args) -> int:
 
 def _cmd_eval(args) -> int:
     dist = _make_dist(args.a, args.b, args.gamma)
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     if args.times:
         ts = np.array([float(x) for x in args.times.split(",")])
-    else:
+    elif args.t_grid:
         ts = _parse_grid(args.t_grid)
+    else:
+        raise ValueError("give --times or --t-grid")
     ts = ts * _TIME_UNIT_HOURS[args.time_unit]
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError("times must be finite and non-negative")
+    ys = y_c(dist, ts)
     print("t_hours,y_c,x_c")
-    for t in ts:
-        print(f"{_FMT.format(t)},{_FMT.format(y_c(dist, t))},"
-              f"{_FMT.format(x_c(dist, t, args.n))}")
+    for t, y in zip(ts, ys):
+        print(f"{_FMT.format(t)},{_FMT.format(y)},{_FMT.format(args.n * y)}")
     return 0
 
 

@@ -169,8 +169,8 @@ def laplace_transform(dist: SalesRateDistribution, t, n_items: int | None = None
     cutoff support limit; by default the infinite-catalog limit is used.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("time t must be non-negative")
+    if not np.all(t_arr >= 0.0):
+        raise ValueError("time t must be non-negative (and not NaN)")
     out = _laplace_grid(dist, np.atleast_1d(t_arr), n_items=n_items)
     if t_arr.ndim == 0:
         return float(out[0])

@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._csvio import open_csv, read_columns, write_rows
 from .limit import _pareto_y_grid
@@ -147,6 +146,13 @@ def _objective(x: np.ndarray, times: np.ndarray, ranks: np.ndarray,
     return float(resid @ resid)
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: the import costs
+    about 0.3 s, which verbs that never fit should not pay."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def _descend(args):
     x0, times, ranks, weights, max_iter, xatol = args
     f0 = _objective(np.asarray(x0), times, ranks, weights)
@@ -221,13 +227,12 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     else:
         outcomes = [_descend(j) for j in jobs]
 
-    best_fun, best_x, _ = min(outcomes, key=lambda o: o[0])
+    best = min(outcomes, key=lambda o: o[0])
     # polish from the winner; also settles ties between nearby basins
-    fun, x, success = _descend((best_x, traj.times, traj.ranks, weights,
-                                opts.max_iter, opts.xatol))
-    if fun > best_fun:
-        fun, x = best_fun, best_x
-    converged = success or any(o[2] for o in outcomes)
+    fun, x, converged = _descend((best[1], traj.times, traj.ranks, weights,
+                                  opts.max_iter, opts.xatol))
+    if fun > best[0]:
+        fun, x, converged = best  # the flag describes the optimum returned
 
     n_star, a_star, b_star = math.exp(x[0]), math.exp(x[1]), float(x[2])
     return FitResult(

@@ -8,11 +8,12 @@ directly:
 * a stable power series for |z| < 1 and small p,
 * a modified-Lentz continued fraction for moderate and large p,
 * the integration-by-parts recursion to move z into the series range,
-* exponential integrals (scipy ``expn``/``exp1``) at non-positive integer z,
-  where the recursion would divide by zero.
+* exponential integrals (scipy ``expn``/``exp1``, imported on first use) at
+  non-positive integer z, where the recursion would divide by zero.
 
 Scalar entry points validate the supported domain; the ``_grid`` variant is
-the vectorized inner loop used by the curve evaluations.
+the vectorized inner loop used by the curve evaluations and the share
+functionals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1, expn
 
 __all__ = ["upper_incomplete_gamma", "gamma_recursion_shift"]
 
@@ -36,55 +36,16 @@ _MAX_CF_ITER = 10_000
 _MAX_SERIES_ITER = 500
 
 
-def _series_base(z: float, p: float) -> float:
-    """Gamma(z, p) for z in (-1, 1], z != 0, by the alternating power series.
-
-    Uses Gamma(z) - p^z/z = -Gamma(z+1) expm1(z log p - lgamma(z+1)) / z,
-    which stays finite as z -> 0, then subtracts the n >= 1 series terms.
-    Accurate for p below ~2; cancellation grows with p.
-    """
-    logp = math.log(p)
-    head = -math.gamma(z + 1.0) * math.expm1(z * logp - math.lgamma(z + 1.0)) / z
-    # sum_{n>=1} (-p)^n / (n! (z+n)), scaled by p^z
-    term = 1.0
-    total = 0.0
-    for n in range(1, _MAX_SERIES_ITER):
-        term *= -p / n
-        contrib = term / (z + n)
-        total += contrib
-        if abs(contrib) <= _EPS * max(abs(total), 1e-30):
-            return head - math.exp(z * logp) * total
-    raise RuntimeError("incomplete gamma series did not converge")
-
-
-def _cf_base(z: float, p: float) -> float:
-    """Gamma(z, p) by modified-Lentz continued fraction; needs p >= ~1."""
-    b = p + 1.0 - z
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_ITER):
-        an = -i * (i - z)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= _EPS:
-            expo = z * math.log(p) - p
-            if expo < -745.0:
-                return 0.0
-            return math.exp(expo) * h
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
+def _expn(n: int, p):
+    """Exponential integral E_n(p), n >= 1. scipy.special is imported here on
+    first use: only integer orders need it, and its import costs about 0.3 s."""
+    from scipy.special import exp1, expn
+    return exp1(p) if n == 1 else expn(n, p)
 
 
 def _gamma_upper(z: float, p: float) -> float:
-    """Unregularized Gamma(z, p) for z in about [-4, 5], p > 0.
+    """Unregularized Gamma(z, p) for z in about [-4, 5], p > 0: one lane of
+    :func:`_gamma_upper_grid`, with the order recursions around it.
 
     Non-positive integer z is routed through the exponential integrals.
     Accuracy degrades within ~1e-6 of negative non-integer poles of
@@ -95,8 +56,8 @@ def _gamma_upper(z: float, p: float) -> float:
     if z <= 0.0 and z == round(z):
         n = int(-z)
         if n == 0:
-            return float(exp1(p))
-        return p ** z * float(expn(n + 1, p))
+            return float(_expn(1, p))
+        return p ** z * float(_expn(n + 1, p))
     if z > 1.0:
         # build upward from the series/CF range: Gamma(w+1,p) = p^w e^-p + w Gamma(w,p)
         k = math.ceil(z - 1.0)
@@ -105,14 +66,12 @@ def _gamma_upper(z: float, p: float) -> float:
             w = z - k + j
             g = math.exp(w * math.log(p) - p) + w * g
         return g
-    if p >= _SERIES_CF_SPLIT:
-        return _cf_base(z, p)
-    if z > -1.0:
-        return _series_base(z, p)
+    if z > -1.0 or p >= _SERIES_CF_SPLIT:
+        return float(_gamma_upper_grid(z, np.array([p]))[0])
     # lift z into (-1, 0) where the series applies:
     # Gamma(z,p) = (Gamma(z+1,p) - p^z e^-p) / z
     k = math.ceil(-z) - 1
-    g = _series_base(z + k, p)
+    g = _gamma_upper(z + k, p)
     for j in range(k - 1, -1, -1):
         zj = z + j
         g = (g - math.exp(zj * math.log(p) - p)) / zj
@@ -120,16 +79,22 @@ def _gamma_upper(z: float, p: float) -> float:
 
 
 def _gamma_upper_grid(z: float, p: np.ndarray) -> np.ndarray:
-    """Vectorized Gamma(z, p) over an array of p > 0, for z in [0, 1].
+    """Vectorized Gamma(z, p) over an array of p > 0, for z in [-1, 1]; when
+    every p >= 1.5, for any z <= 1.
 
-    This is the hot path for curve evaluation on time grids, so the series
-    and the Lentz recurrence run lane-parallel with convergence masks.
+    This is the one implementation of the series and the continued fraction,
+    and the hot path for curve evaluation and the share functionals, so both
+    run lane-parallel with convergence masks. The series takes z in (-1, 1]
+    and p < 1.5; z = 0 and z = -1 are exponential integrals.
     """
     p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape)
     live = p <= UNDERFLOW_P
     if z == 0.0:
-        out[live] = exp1(p[live])
+        out[live] = _expn(1, p[live])
+        return out
+    if z == -1.0:
+        out[live] = p[live] ** z * _expn(2, p[live])
         return out
 
     small = live & (p < _SERIES_CF_SPLIT)

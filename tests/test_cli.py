@@ -170,6 +170,17 @@ class TestEvalCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 5
 
+    @pytest.mark.parametrize("bad", [
+        ["--times", "nan,1"], ["--times", "1,inf"], ["--times", "-1"],
+        ["--times", "1", "--time-unit", "day", "--n", "0"],
+        ["--t-grid", "0:inf:1"], ["--t-grid", "nan:2:1"], [],
+    ])
+    def test_rejects_bad_input_before_any_output(self, capsys, bad):
+        argv = ["eval", "--a", "1.0", "--b", "1.2", "--n", "10", *bad]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "rankflow: error:" in err
+
 
 def write_sim_config(path, **over):
     values = dict(n_items=5000, a=5e-4, b=0.8, gamma=0.0, horizon=3000.0,

@@ -55,6 +55,9 @@ def test_laplace_rejects_negative_time():
     d = SalesRateDistribution.pareto(1.0, 0.5)
     with pytest.raises(ValueError):
         laplace_transform(d, -0.1)
+    for bad in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            laplace_transform(d, bad)
 
 
 def test_empirical_single_rate_halves_at_ln2():

@@ -3,9 +3,12 @@
 import json
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import rankflow.fit
 from rankflow.dist import SalesRateDistribution
 from rankflow.fit import (
     FitOptions,
@@ -212,6 +215,41 @@ class TestFit:
         assert _resolve_workers(8) == 8
         monkeypatch.delenv("RANKFLOW_THREADS")
         assert _resolve_workers(3) == 3
+
+
+class TestConvergedFlag:
+    def test_exhausted_iteration_budget_is_not_converged(self):
+        res = fit_pareto(low_fixture(30, sigma=5e3, seed=7), FitOptions(max_iter=1))
+        assert not res.converged
+
+    @pytest.mark.parametrize("winner_ok,polish_ok,polish_worse,expected", [
+        (True, False, False, False),  # polish kept: its failure counts
+        (False, True, True, False),   # polish discarded: the winning start's
+        (True, False, True, True),
+    ])
+    def test_flag_describes_returned_optimum(self, monkeypatch, winner_ok, polish_ok,
+                                             polish_worse, expected):
+        # every other start converges; only the returned descent decides
+        n0, a0, b0 = LOW
+        winner = np.array([math.log(n0), math.log(a0), b0])
+        calls = []
+
+        def scripted_minimize(fun, x0, args, **kwargs):
+            x0 = np.asarray(x0, dtype=float)
+            f = fun(x0, *args)
+            calls.append(x0)
+            if len(calls) == 8:  # 6 grid starts, the extra start, then the polish
+                return SimpleNamespace(fun=f + 1.0 if polish_worse else f, x=x0,
+                                       success=polish_ok)
+            return SimpleNamespace(fun=f, x=x0,
+                                   success=winner_ok or not np.allclose(x0, winner))
+
+        monkeypatch.setattr(rankflow.fit, "minimize", scripted_minimize)
+        res = fit_pareto(low_fixture(30), FitOptions(extra_starts=[(n0, a0, b0)]))
+        assert len(calls) == 8
+        assert np.allclose(calls[-1], winner)
+        assert res.b_star == b0
+        assert res.converged is expected
 
 
 class TestRegime:

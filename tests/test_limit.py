@@ -53,6 +53,11 @@ class TestCurve:
     def test_saturates_towards_one(self):
         assert y_c(low2(), 1e7) > 0.999
 
+    def test_rejects_nan_time(self):
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError):
+                y_c(low2(), bad)
+
     def test_unit_scaling(self):
         d = SalesRateDistribution.empirical([0.5, 2.0])
         assert x_c(d, 1.0, 1) == pytest.approx(y_c(d, 1.0))
@@ -269,3 +274,96 @@ class TestShareReport:
         d = SalesRateDistribution.pareto(1.0, 1.2)
         with pytest.raises(ValueError):
             build_share_report(d, [0.0, 0.5])
+
+
+def _law(b, gamma):
+    if gamma == 0.0:
+        return SalesRateDistribution.pareto(0.01, b)
+    return SalesRateDistribution.pareto_cutoff(0.01, b, gamma)
+
+
+_B_BOTH_SIDES = st.floats(0.15, 1.95).filter(lambda b: abs(b - 1.0) >= 1e-3)
+
+
+class TestArrayPath:
+    @settings(max_examples=40, deadline=None)
+    @given(b=_B_BOTH_SIDES, gamma=st.sampled_from([0.0, 1e-2, 0.1]),
+           ys=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=12))
+    def test_round_trip_over_arrays(self, b, gamma, ys):
+        d = _law(b, gamma)
+        t = invert_y_c(d, np.array(ys))
+        assert t.shape == (len(ys),)
+        np.testing.assert_allclose(y_c(d, t), ys, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [
+        low2(),
+        SalesRateDistribution.pareto(1.0, 1.2),
+        SalesRateDistribution.pareto(1.0, 2.0),
+        SalesRateDistribution.pareto_cutoff(2.0, 1.5, 1e-2),
+        SalesRateDistribution.pareto_cutoff(1.0, 0.3, 0.1),
+        SalesRateDistribution.empirical([0.5, 1.0, 2.0, 4.0]),
+    ])
+    def test_array_equals_scalar_lane_by_lane(self, d):
+        ys = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 0.99, 30), [0.9999]])
+        arr = invert_y_c(d, ys)
+        np.testing.assert_allclose(arr, [invert_y_c(d, y) for y in ys], rtol=1e-14, atol=0.0)
+        assert arr[0] == 0.0
+        grid = invert_y_c(d, ys.reshape(2, -1))  # any shape, solved in one pass
+        np.testing.assert_array_equal(grid.ravel(), arr)
+
+    def test_array_input_validation(self):
+        for bad in ([0.5, 1.0], [0.5, -1e-3], [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                invert_y_c(low2(), np.array(bad))
+        assert invert_y_c(low2(), np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("d", [
+        low2(),
+        SalesRateDistribution.pareto(1.0, 1.2),
+        SalesRateDistribution.pareto_cutoff(LOW_A, LOW_B, 0.1),
+        SalesRateDistribution.pareto_cutoff(2.0, 1.5, 1e-2),
+    ])
+    def test_report_rows_equal_scalar_functionals(self, d):
+        r = np.arange(0.01, 0.9, 0.04)
+        rep = build_share_report(d, r)
+        rel = dict(rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rep.q, [q_of_r(d, x) for x in r], **rel)
+        np.testing.assert_allclose(rep.s_potential,
+                                   [sales_share_potential(d, x, 1.0) for x in r], **rel)
+        np.testing.assert_allclose(rep.s_ranking,
+                                   [sales_share_ranking(d, x, 1.0) for x in r], **rel)
+        np.testing.assert_allclose(rep.ratio, rep.s_ranking / rep.s_potential, **rel)
+
+    @settings(max_examples=30, deadline=None)
+    @given(b=_B_BOTH_SIDES, gamma=st.sampled_from([0.0, 1e-2, 0.1]), r=st.floats(0.01, 0.99))
+    def test_head_plus_tail_is_total(self, b, gamma, r):
+        d = _law(b, gamma)
+        if gamma == 0.0 and b < 1.0:
+            with pytest.raises(DivergenceError):
+                sales_share_ranking(d, 0.0, r)
+            return
+        total = d.mean_rate()
+        for share in (sales_share_ranking, sales_share_potential):
+            assert share(d, 0.0, r) + share(d, r, 1.0) == pytest.approx(total, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(b=_B_BOTH_SIDES, gamma=st.sampled_from([0.0, 1e-2, 0.1]), r=st.floats(0.01, 0.99))
+    def test_ranking_tail_exceeds_potential_tail(self, b, gamma, r):
+        # move-to-front mixes fast sellers into the tail; an interior band
+        # can hold less than its potential share (b=0.75, gamma=0.1 on
+        # [0.0625, 0.3125]: 0.016333 against 0.016663, quadrature agrees)
+        d = _law(b, gamma)
+        rep = build_share_report(d, [r])
+        assert rep.s_ranking[0] >= rep.s_potential[0]
+
+    @pytest.mark.parametrize("b", [1.2, 1.5, 2.0])
+    def test_cutoff_report_above_one_matches_quadrature(self, b):
+        # b > 1 under the cutoff puts Gamma(1 - b, .) at orders in [-1, 0)
+        g = 1e-2
+        d = SalesRateDistribution.pareto_cutoff(2.0, b, g)
+        r = np.array([0.05, 0.3, 0.7])
+        rep = build_share_report(d, r)
+        for x, got in zip(r, rep.s_ranking):
+            ref, err = ranking_share_quad(2.0, b, x, 1.0, gamma=g)
+            assert abs(got - ref) <= max(1e-8 * ref, 3.0 * err)
+

@@ -7,6 +7,7 @@ import pytest
 
 from rankflow.oracle import gamma_quad
 from rankflow.special import (
+    _gamma_upper,
     _gamma_upper_grid,
     gamma_recursion_shift,
     upper_incomplete_gamma,
@@ -106,3 +107,38 @@ def test_vector_grid_matches_scalar():
                 assert abs(g - ref) <= max(1e-7 * abs(ref), 5.0 * err + 1e-12)
             else:
                 assert g == pytest.approx(upper_incomplete_gamma(z, p), rel=1e-11)
+
+
+NEGATIVE_ORDERS = [-1.0, -0.95, -0.6312, -0.5, -0.2, -0.05]
+GRID_PS = np.concatenate([10.0 ** np.linspace(-10, 2.8, 25), [1.4999, 1.5, 750.0]])
+
+
+@pytest.mark.parametrize("z", NEGATIVE_ORDERS)
+def test_vector_grid_negative_orders_match_scalar(z):
+    # the cutoff share for b in (1, 2] needs Gamma(1 - b, .) on arrays
+    got = _gamma_upper_grid(z, GRID_PS)
+    for g, p in zip(got, GRID_PS):
+        if p > 700.0:
+            assert g == 0.0
+        else:
+            assert g == pytest.approx(_gamma_upper(z, p), rel=1e-12), (z, p)
+
+
+@pytest.mark.parametrize("z", NEGATIVE_ORDERS + [0.12, 0.3688, 0.8, 1.0])
+def test_vector_grid_matches_mpmath(z):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ps = GRID_PS[GRID_PS <= 700.0]
+    got = _gamma_upper_grid(z, ps)
+    for g, p in zip(got, ps):
+        assert g == pytest.approx(float(mpmath.gammainc(z, p)), rel=1e-10), (z, p)
+
+
+@pytest.mark.parametrize("z", [-2.7, -2.0, -1.6312, -1.2, 1.3688, 2.5])
+def test_scalar_recursions_match_mpmath(z):
+    # orders outside [-1, 1] reach the grid kernel through the recursions
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for p in GRID_PS[GRID_PS <= 700.0]:
+        assert _gamma_upper(z, p) == pytest.approx(float(mpmath.gammainc(z, p)),
+                                                   rel=1e-10), (z, p)
