@@ -35,7 +35,6 @@ __all__ = [
     "build_share_report",
 ]
 
-_BISECT_MAX_ITER = 200
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # bracket width relative to t
 _BRACKET_CAP = 2.0 ** 80
 
@@ -98,7 +97,8 @@ def invert_y_c(dist: SalesRateDistribution, y):
     All levels are solved together, one curve call per step over the lanes
     still open. Each lane's t doubles or halves from 1/a until a factor-2
     bracket encloses its level, which is then bisected to a width of a few
-    ulps of t: a relative tolerance, so large t converge as fast as small.
+    ulps of t: a relative tolerance, so large t converge as fast as small,
+    and every step strictly shrinks the bracket.
     Derivative-based steps are avoided because the curve is stiff near
     t = 0 for b < 1.
     """
@@ -109,26 +109,18 @@ def invert_y_c(dist: SalesRateDistribution, y):
     lo = np.zeros(y.shape)
     hi = np.where(y > 0.0, np.inf, 0.0)
     t = np.full(y.shape, 1.0 / (dist.a if dist.a is not None else dist.rates.mean()))
-    open_ = np.flatnonzero(y > 0.0)
-    while open_.size:
-        below = y_c(dist, t[open_]) < y[open_]
-        lo[open_[below]] = t[open_[below]]
-        hi[open_[~below]] = t[open_[~below]]
-        open_ = open_[(lo[open_] == 0.0) | (hi[open_] == np.inf)]
-        t[open_] = np.where(lo[open_] == 0.0, 0.5 * hi[open_], 2.0 * lo[open_])
-        bad = (t[open_] > _BRACKET_CAP) | (t[open_] == 0.0)
-        if np.any(bad):
-            raise RuntimeError(f"could not bracket y={y[open_][bad][0]}; "
-                               "the curve does not resolve it")
     act = np.flatnonzero(y > 0.0)
-    for _ in range(_BISECT_MAX_ITER):
-        act = act[hi[act] - lo[act] > _BISECT_RTOL * hi[act]]
-        if not act.size:
-            break
-        mid = 0.5 * (lo[act] + hi[act])
-        below = y_c(dist, mid) < y[act]
-        lo[act[below]] = mid[below]
-        hi[act[~below]] = mid[~below]
+    while act.size:
+        below = y_c(dist, t[act]) < y[act]
+        lo[act[below]] = t[act[below]]
+        hi[act[~below]] = t[act[~below]]
+        act = act[(hi[act] == np.inf) | (hi[act] - lo[act] > _BISECT_RTOL * hi[act])]
+        # no upper end yet: double; otherwise bisect, which halves while lo = 0
+        t[act] = np.where(hi[act] == np.inf, 2.0 * lo[act], 0.5 * (lo[act] + hi[act]))
+        bad = (t[act] > _BRACKET_CAP) | (t[act] == 0.0)
+        if np.any(bad):
+            raise RuntimeError(f"could not bracket y={y[act][bad][0]}; "
+                               "the curve does not resolve it")
     t0 = (0.5 * (lo + hi)).reshape(y_arr.shape)
     return float(t0) if y_arr.ndim == 0 else t0
 
