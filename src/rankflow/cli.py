@@ -25,7 +25,7 @@ from .sim import SimulationConfig, run_simulation
 _TIME_UNIT_HOURS = {"hour": 1.0, "day": 24.0, "month": 720.0}
 
 _FMT = "{:.12g}"
-_MAX_OBSERVATIONS = 10**6  # cap on the simulate observation grid
+_MAX_GRID_POINTS = 10**6  # cap on grid specs and the simulate observation grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +50,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     if not (math.isfinite(start) and start <= stop < math.inf and 0.0 < step < math.inf):
         raise ValueError(f"bad grid spec {spec!r}: need finite values, step > 0 "
                          "and stop >= start")
-    n = int(round((stop - start) / step))
-    return start + step * np.arange(n + 1)
+    span = (stop - start) / step  # may overflow to inf; counted before np.arange
+    if not span < _MAX_GRID_POINTS - 0.5:
+        raise ValueError(f"grid spec {spec!r} asks for more than {_MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(round(span)) + 1)
 
 
 def _make_dist(a: float, b: float, gamma: float) -> SalesRateDistribution:
@@ -131,9 +133,9 @@ def _load_sim_config(path: str) -> SimulationConfig:
     if not (every > 0.0 and 0.0 < horizon < math.inf):
         raise ValueError(f"{path}: need observe_every > 0 and a finite horizon > 0")
     stop = horizon * (1.0 + 1e-12)
-    if (stop - every) / every >= _MAX_OBSERVATIONS:
+    if (stop - every) / every >= _MAX_GRID_POINTS:
         raise ValueError(f"{path}: horizon/observe_every asks for more than "
-                         f"{_MAX_OBSERVATIONS} observations")
+                         f"{_MAX_GRID_POINTS} observations")
     observe_times = np.arange(every, stop, every)
     track = values.get("track_item")
     track_item = int(track) if track not in (None, "") else None

@@ -43,9 +43,55 @@ def _expn(n: int, p):
     return exp1(p) if n == 1 else expn(n, p)
 
 
+def _series_base(z: float, p: float) -> float:
+    """Gamma(z, p) for z in (-1, 1], z != 0, by the alternating power series.
+
+    Uses Gamma(z) - p^z/z = -Gamma(z+1) expm1(z log p - lgamma(z+1)) / z,
+    which stays finite as z -> 0, then subtracts the n >= 1 series terms.
+    Accurate for p below ~2; cancellation grows with p.
+    """
+    logp = math.log(p)
+    head = -math.gamma(z + 1.0) * math.expm1(z * logp - math.lgamma(z + 1.0)) / z
+    # sum_{n>=1} (-p)^n / (n! (z+n)), scaled by p^z
+    term = 1.0
+    total = 0.0
+    for n in range(1, _MAX_SERIES_ITER):
+        term *= -p / n
+        contrib = term / (z + n)
+        total += contrib
+        if abs(contrib) <= _EPS * max(abs(total), 1e-30):
+            return head - math.exp(z * logp) * total
+    raise RuntimeError("incomplete gamma series did not converge")
+
+
+def _cf_base(z: float, p: float) -> float:
+    """Gamma(z, p) by modified-Lentz continued fraction; needs p >= ~1."""
+    b = p + 1.0 - z
+    c = 1.0 / _FPMIN
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_CF_ITER):
+        an = -i * (i - z)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = b + an / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            expo = z * math.log(p) - p
+            if expo < -745.0:
+                return 0.0
+            return math.exp(expo) * h
+    raise RuntimeError("incomplete gamma continued fraction did not converge")
+
+
 def _gamma_upper(z: float, p: float) -> float:
-    """Unregularized Gamma(z, p) for z in about [-4, 5], p > 0: one lane of
-    :func:`_gamma_upper_grid`, with the order recursions around it.
+    """Unregularized Gamma(z, p) for z in about [-4, 5], p > 0.
 
     Non-positive integer z is routed through the exponential integrals.
     Accuracy degrades within ~1e-6 of negative non-integer poles of
@@ -66,12 +112,14 @@ def _gamma_upper(z: float, p: float) -> float:
             w = z - k + j
             g = math.exp(w * math.log(p) - p) + w * g
         return g
-    if z > -1.0 or p >= _SERIES_CF_SPLIT:
-        return float(_gamma_upper_grid(z, np.array([p]))[0])
+    if p >= _SERIES_CF_SPLIT:
+        return _cf_base(z, p)
+    if z > -1.0:
+        return _series_base(z, p)
     # lift z into (-1, 0) where the series applies:
     # Gamma(z,p) = (Gamma(z+1,p) - p^z e^-p) / z
     k = math.ceil(-z) - 1
-    g = _gamma_upper(z + k, p)
+    g = _series_base(z + k, p)
     for j in range(k - 1, -1, -1):
         zj = z + j
         g = (g - math.exp(zj * math.log(p) - p)) / zj
@@ -82,10 +130,10 @@ def _gamma_upper_grid(z: float, p: np.ndarray) -> np.ndarray:
     """Vectorized Gamma(z, p) over an array of p > 0, for z in [-1, 1]; when
     every p >= 1.5, for any z <= 1.
 
-    This is the one implementation of the series and the continued fraction,
-    and the hot path for curve evaluation and the share functionals, so both
-    run lane-parallel with convergence masks. The series takes z in (-1, 1]
-    and p < 1.5; z = 0 and z = -1 are exponential integrals.
+    This is the hot path for curve evaluation and the share functionals, so
+    the series and the Lentz recurrence of the scalar kernel run lane-parallel
+    with convergence masks. The series takes z in (-1, 1] and p < 1.5; z = 0
+    and z = -1 are exponential integrals.
     """
     p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape)

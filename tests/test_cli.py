@@ -174,6 +174,8 @@ class TestEvalCommand:
         ["--times", "nan,1"], ["--times", "1,inf"], ["--times", "-1"],
         ["--times", "1", "--time-unit", "day", "--n", "0"],
         ["--t-grid", "0:inf:1"], ["--t-grid", "nan:2:1"], [],
+        ["--t-grid", "0:1e9:1e-9"], ["--t-grid", "0:1:1e-320"],
+        ["--t-grid=-1e308:1e308:1"],
     ])
     def test_rejects_bad_input_before_any_output(self, capsys, bad):
         argv = ["eval", "--a", "1.0", "--b", "1.2", "--n", "10", *bad]
