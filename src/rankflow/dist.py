@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import open_csv, read_columns, write_rows
-from .special import _gamma_upper, _gamma_upper_grid
+from .special import UNDERFLOW_P, _gamma_upper, _gamma_upper_grid
 
 __all__ = [
     "SalesRateDistribution",
@@ -128,10 +128,12 @@ def _pareto_laplace_grid(b: float, q: np.ndarray) -> np.ndarray:
 
     Uses the integration-by-parts forms whose gamma order lies in [0, 1),
     which stay finite as q -> 0 (the direct order -b form diverges there).
+    Beyond UNDERFLOW_P, where Gamma is exactly 0, L is 0 to double precision
+    and q^b could overflow, so those lanes skip the formula.
     """
     q = np.asarray(q, dtype=float)
-    out = np.ones(q.shape)
-    pos = q > 0.0
+    out = np.where(q > UNDERFLOW_P, 0.0, 1.0)
+    pos = (q > 0.0) & (q <= UNDERFLOW_P)
     qp = q[pos]
     if b < 1.0:
         out[pos] = np.exp(-qp) - np.exp(b * np.log(qp)) * _gamma_upper_grid(1.0 - b, qp)

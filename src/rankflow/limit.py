@@ -18,7 +18,8 @@ import numpy as np
 
 from ._csvio import open_csv, read_columns, write_rows
 from .dist import SalesRateDistribution, band_laplace, band_mass, laplace_transform
-from .special import _gamma_upper, _gamma_upper_grid  # noqa: F401 (perfbench hooks the scalar)
+from .special import UNDERFLOW_P, _gamma_upper_grid
+from .special import _gamma_upper  # noqa: F401 (perfbench hooks the scalar)
 
 __all__ = [
     "DivergenceError",
@@ -52,11 +53,15 @@ def y_c(dist: SalesRateDistribution, t):
 
 
 def _pareto_y_grid(a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """Unvalidated fast path for the power-law curve, used by the fitter."""
+    """Unvalidated fast path for the power-law curve, used by the fitter.
+
+    Beyond UNDERFLOW_P, where Gamma is exactly 0, y is 1 to double precision
+    and q^b could overflow, so those lanes skip the formula.
+    """
     t = np.asarray(t, dtype=float)
     q = a * t
-    out = np.zeros(q.shape)
-    pos = q > 0.0
+    out = np.where(q > UNDERFLOW_P, 1.0, 0.0)
+    pos = (q > 0.0) & (q <= UNDERFLOW_P)
     qp = q[pos]
     if b < 1.0:
         out[pos] = -np.expm1(-qp) + np.exp(b * np.log(qp)) * _gamma_upper_grid(1.0 - b, qp)

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestEvalCommand:
         _, y, x = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(y) == pytest.approx(1.0, abs=1e-9)
         assert float(x) == pytest.approx(1000.0, abs=1e-6)
+
+    @pytest.mark.parametrize("b", ["0.5", "1.5", "2.0"])
+    def test_huge_time_saturates_without_warning(self, capsys, b):
+        # a t far past the gamma underflow used to print nan with overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--a", "1", "--b", b, "--n", "10",
+                             "--times", "1e300,1e308"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == ["1e+300,1,10", "1e+308,1,10"]
 
     def test_grid_mode(self, capsys):
         assert cli.main(["eval", "--a", "1.0", "--b", "1.5", "--n", "100",

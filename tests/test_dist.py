@@ -1,6 +1,7 @@
 """Distribution construction, Laplace transforms, and CSV ingestion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ def test_laplace_rejects_negative_time():
     for bad in (math.nan, np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
             laplace_transform(d, bad)
+
+
+@pytest.mark.parametrize("dist", [SalesRateDistribution.pareto(1.0, 0.5),
+                                  SalesRateDistribution.pareto(1.0, 1.5),
+                                  SalesRateDistribution.pareto_cutoff(1.0, 1.5, 0.1)])
+def test_laplace_vanishes_at_infinite_time(dist):
+    # q^b overflowed and met the underflowed Gamma = 0, which gave nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert laplace_transform(dist, math.inf) == 0.0
+        got = laplace_transform(dist, np.array([699.0, 701.0, 1e300, math.inf]))
+    assert 0.0 <= got[0] < 1e-300
+    assert list(got[1:]) == [0.0, 0.0, 0.0]
 
 
 def test_empirical_single_rate_halves_at_ln2():

@@ -13,6 +13,10 @@ from rankflow.special import (
     upper_incomplete_gamma,
 )
 
+# pytest.approx also accepts anything within abs=1e-12 unless told otherwise,
+# which passes every value below 1e-12 (p above about 30) unchecked; kernel
+# comparisons therefore pass abs=0.0.
+
 # reference values from the independent quadrature / multiprecision route
 FROZEN = [
     (-0.6312, 0.5, 0.60402244130132071),
@@ -25,7 +29,8 @@ FROZEN = [
 
 def test_order_one_is_exp():
     for p in [1e-6, 0.1, 2.0, 30.0, 600.0]:
-        assert upper_incomplete_gamma(1.0, p) == pytest.approx(math.exp(-p), rel=1e-12)
+        assert upper_incomplete_gamma(1.0, p) == pytest.approx(math.exp(-p), rel=1e-12,
+                                                               abs=0.0)
 
 
 def test_small_p_approaches_complete_gamma():
@@ -106,7 +111,7 @@ def test_vector_grid_matches_scalar():
                 ref, err = gamma_quad(1e-13, p)  # order-0 limit of the oracle
                 assert abs(g - ref) <= max(1e-7 * abs(ref), 5.0 * err + 1e-12)
             else:
-                assert g == pytest.approx(upper_incomplete_gamma(z, p), rel=1e-11)
+                assert g == pytest.approx(upper_incomplete_gamma(z, p), rel=1e-11, abs=0.0)
 
 
 NEGATIVE_ORDERS = [-1.0, -0.95, -0.6312, -0.5, -0.2, -0.05]
@@ -127,7 +132,7 @@ def test_vector_grid_negative_orders_match_scalar(z):
             ref = math.exp(-p) / p - _gamma_upper(0.0, p)
         else:
             ref = _gamma_upper(z, p)  # scalar series / continued fraction
-        assert g == pytest.approx(ref, rel=1e-12), (z, p)
+        assert g == pytest.approx(ref, rel=1e-12, abs=0.0), (z, p)
 
 
 @pytest.mark.parametrize("z", NEGATIVE_ORDERS + [0.12, 0.3688, 0.8, 1.0])
@@ -137,7 +142,7 @@ def test_vector_grid_matches_mpmath(z):
     ps = GRID_PS[GRID_PS <= 700.0]
     got = _gamma_upper_grid(z, ps)
     for g, p in zip(got, ps):
-        assert g == pytest.approx(float(mpmath.gammainc(z, p)), rel=1e-12), (z, p)
+        assert g == pytest.approx(float(mpmath.gammainc(z, p)), rel=1e-12, abs=0.0), (z, p)
 
 
 @pytest.mark.parametrize("z", [-2.7, -2.0, -1.6312, -1.2, 1.3688, 2.5])
@@ -147,4 +152,62 @@ def test_scalar_recursions_match_mpmath(z):
     mpmath.mp.dps = 40
     for p in GRID_PS[GRID_PS <= 700.0]:
         assert _gamma_upper(z, p) == pytest.approx(float(mpmath.gammainc(z, p)),
-                                                   rel=1e-12), (z, p)
+                                                   rel=1e-12, abs=0.0), (z, p)
+
+
+# The grid kernel runs a term count fixed per call: the series by the largest
+# p of the call, the continued fraction by the smallest. These tests put each
+# count where it is tightest and check every lane against 40-digit mpmath.
+SPLIT_ORDERS = [round(-0.95 + 0.05 * k, 2) for k in range(40)]  # (-1, 1], step 0.05
+
+
+def _mpmath_gammainc():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    return lambda z, p: float(mpmath.gammainc(z, p))
+
+
+@pytest.mark.parametrize("p", [1.5, 1.5001, 1.6, 2.0])
+def test_grid_continued_fraction_count_just_above_split(p):
+    # The count buys full precision at the split: 4.4e-16 at p = 1.5 with
+    # its 72 terms, but 1.6e-14 with three quarters of them, which a 1e-13
+    # bound would not see. One lane per call, so that p sets the count.
+    ref = _mpmath_gammainc()
+    for z in SPLIT_ORDERS:
+        got = _gamma_upper_grid(z, np.array([p]))[0]
+        assert got == pytest.approx(ref(z, p), rel=4e-15, abs=0.0), (z, p)
+
+
+@pytest.mark.parametrize("p", [1.4, 1.49, 1.4999])
+def test_grid_series_count_just_below_split(p):
+    ref = _mpmath_gammainc()
+    for z in SPLIT_ORDERS:
+        got = _gamma_upper_grid(z, np.array([p]))[0]
+        assert got == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+
+
+MIXED_PS = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 12),
+                           np.geomspace(1.5, 699.0, 12)])
+
+
+@pytest.mark.parametrize("z", [-0.99, -0.6312, -0.5, -0.2, 0.12, 0.3688, 0.8, 1.0])
+def test_grid_mixed_lanes_match_mpmath(z):
+    # series lanes from 1e-8 to 1.4999 and continued-fraction lanes from
+    # p_min = 1.5 to 699 in one call
+    ref = _mpmath_gammainc()
+    got = _gamma_upper_grid(z, MIXED_PS)
+    for g, p in zip(got, MIXED_PS):
+        assert g == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+
+
+@pytest.mark.parametrize("z", [s * m for m in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2) for s in (1, -1)])
+def test_series_head_near_order_zero(z):
+    # lgamma(1 + z) sees the rounded 1 + z; the head used to be 2.6e-7 off
+    # at |z| = 1e-8
+    ref = _mpmath_gammainc()
+    ps = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 9), [2.0, 30.0]])
+    got = _gamma_upper_grid(z, ps)
+    for g, p in zip(got, ps):
+        want = ref(z, p)
+        assert g == pytest.approx(want, rel=1e-13, abs=0.0), (z, p)
+        assert _gamma_upper(z, p) == pytest.approx(want, rel=1e-13, abs=0.0), (z, p)
