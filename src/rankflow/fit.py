@@ -1,10 +1,13 @@
 """Least-squares recovery of (N, a, b) from an observed ranking trajectory.
 
 The model is rank(t) = N * y(t; a, b) with y the closed-form limit curve of
-the power-law rate distribution. The descent runs in (log N, log a, b)
-coordinates with a derivative-free simplex, restarted from a coarse grid of
-data-scaled initial guesses; the curve's t^b rise near zero for b < 1 makes
-gradient steps unreliable there.
+the power-law rate distribution. The rank is linear in N, so for each (a, b)
+the best N has a closed form and is projected out of the objective
+(variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973). The
+descent runs in (log a, b) with a derivative-free Nelder-Mead simplex,
+restarted from a coarse grid of data-scaled initial guesses; the curve's
+t^b rise near zero for b < 1 makes gradient steps unreliable there. The
+simplex is implemented here, so fitting imports no scipy.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,7 @@ __all__ = [
     "RankingTrajectory",
     "FitOptions",
     "FitResult",
+    "Descent",
     "Regime",
     "RegimeReport",
     "chi2",
@@ -85,11 +91,24 @@ class RankingTrajectory:
 @dataclass
 class FitOptions:
     max_iter: int = 2000
-    xatol: float = 1e-9          # simplex diameter in (log N, log a, b)
+    xatol: float = 1e-9          # simplex diameter in (log a, b)
     top_starts: int = 6          # descents launched from the best grid points
     workers: int = 1             # capped by RANKFLOW_THREADS
     weights: np.ndarray | None = None
+    # (n0, a0, b0) starting guesses; n0 is projected out, so only (a0, b0) is used
     extra_starts: list[tuple[float, float, float]] = field(default_factory=list)
+
+
+class Descent(NamedTuple):
+    """One simplex descent: its start and end in (log a, b), the projected
+    chi^2 at the end, its objective evaluations, and whether the simplex met
+    its stopping test within the iteration budget."""
+
+    x0: tuple[float, float]
+    x: tuple[float, float]
+    chi2: float
+    nfev: int
+    success: bool
 
 
 @dataclass
@@ -101,6 +120,8 @@ class FitResult:
     delta_y_c: float
     converged: bool
     starts_tried: int
+    # every descent in the order run, the polish last; not part of the JSON
+    starts: list[Descent] = field(default_factory=list, compare=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -133,47 +154,120 @@ def chi2(traj: RankingTrajectory, n: float, a: float, b: float,
     return float(resid @ resid)
 
 
-def _objective(x: np.ndarray, times: np.ndarray, ranks: np.ndarray,
-               weights: np.ndarray | None) -> float:
-    ln_n, ln_a, b = x
-    if not (_B_GUARD < b < 2.0) or abs(b - 1.0) < _B_GUARD:
-        return 1e300
-    if not (-700.0 < ln_n < 700.0 and -700.0 < ln_a < 700.0):
-        return 1e300
-    resid = ranks - math.exp(ln_n) * _pareto_y_grid(math.exp(ln_a), b, times)
+def _projected(x, times: np.ndarray, ranks: np.ndarray,
+               weights: np.ndarray | None) -> tuple[float, float]:
+    """(chi^2, N) at x = (log a, b), with N = (y.W^2 r)/(y.W^2 y) the exact
+    least-squares scale of the curve y; chi^2 is 1e300 outside the domain."""
+    ln_a, b = x
+    if not (_B_GUARD < b < 2.0) or abs(b - 1.0) < _B_GUARD or not -700.0 < ln_a < 700.0:
+        return 1e300, math.nan
+    y = _pareto_y_grid(math.exp(ln_a), b, times)
     if weights is not None:
-        resid = resid * weights
-    return float(resid @ resid)
+        y, ranks = y * weights, ranks * weights
+    yy = float(y @ y)
+    n = float(y @ ranks) / yy if yy > 0.0 else math.nan
+    if not 0.0 < n < math.inf:
+        return 1e300, n
+    resid = ranks - n * y
+    return float(resid @ resid), n
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: the import costs
-    about 0.3 s, which verbs that never fit should not pay."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+def _objective(x, times: np.ndarray, ranks: np.ndarray,
+               weights: np.ndarray | None) -> float:
+    return _projected(x, times, ranks, weights)[0]
 
 
-def _descend(args):
+class _BudgetSpent(Exception):
+    """The objective was called once more after maxfev evaluations."""
+
+
+def minimize(fun, x0, args=(), *, maxiter: int, maxfev: int, xatol: float,
+             fatol: float) -> SimpleNamespace:
+    """Nelder-Mead minimum of ``fun(x, *args)`` from ``x0``.
+
+    Step for step the non-adaptive method of ``scipy.optimize.minimize(
+    method="Nelder-Mead")``: the same initial simplex, coefficients, vertex
+    order, stopping test and budget flags, so both give the same x, fun and
+    nfev. Returns a namespace with ``x``, ``fun``, ``success`` (the xatol and
+    fatol test passed before maxiter or maxfev ran out) and ``nfev``.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x, *args)
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    dim = x0.size
+    sim = np.tile(x0, (dim + 1, 1))
+    for k in range(dim):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0.0 else 0.00025
+    fsim = np.full(dim + 1, np.inf)
+    # coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2;
+    # the stable sort keeps scipy's vertex order on ties
+    try:
+        for k in range(dim + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    order = np.argsort(fsim, kind="stable")
+    sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / dim
+            xr = 2.0 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3.0 * xbar - 2.0 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if shrink:
+                    for j in range(1, dim + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+                else:
+                    sim[-1], fsim[-1] = xc, fxc
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+    success = nfev < maxfev and iterations < maxiter
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim), success=success, nfev=nfev)
+
+
+def _descend(args) -> Descent:
     x0, times, ranks, weights, max_iter, xatol = args
-    f0 = _objective(np.asarray(x0), times, ranks, weights)
-    res = minimize(
-        _objective, x0, args=(times, ranks, weights), method="Nelder-Mead",
-        options=dict(maxiter=max_iter, maxfev=4 * max_iter,
-                     xatol=xatol, fatol=1e-12 * (1.0 + abs(f0))),
-    )
-    return float(res.fun), res.x, bool(res.success)
+    f0 = _objective(x0, times, ranks, weights)
+    res = minimize(_objective, x0, args=(times, ranks, weights), maxiter=max_iter,
+                   maxfev=4 * max_iter, xatol=xatol, fatol=1e-12 * (1.0 + abs(f0)))
+    return Descent(tuple(map(float, x0)), tuple(map(float, res.x)), float(res.fun),
+                   int(res.nfev), bool(res.success))
 
 
 def _start_grid(traj: RankingTrajectory) -> list[np.ndarray]:
-    max_rank = float(traj.ranks.max())
     t_span = float(traj.times[-1] - traj.times[0]) or float(traj.times[-1])
-    starts = []
-    for n_mult in (1.05, 2.0, 5.0, 10.0):
-        for a_mult in (0.3, 1.0, 3.0, 10.0):
-            for b0 in (0.3, 0.5, 0.7, 0.9, 1.2, 1.5):
-                starts.append(np.array([math.log(max_rank * n_mult),
-                                        math.log(a_mult / t_span), b0]))
-    return starts
+    return [np.array([math.log(a_mult / t_span), b0])
+            for a_mult in (0.3, 1.0, 3.0, 10.0)
+            for b0 in (0.3, 0.5, 0.7, 0.9, 1.2, 1.5)]
 
 
 def _resolve_workers(requested: int) -> int:
@@ -189,10 +283,10 @@ def _resolve_workers(requested: int) -> int:
 def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> FitResult:
     """Best mean-square (N, a, b) for the observed trajectory.
 
-    Screens a coarse data-scaled grid by residual, then runs simplex
+    Screens a coarse data-scaled (a, b) grid by residual, then runs simplex
     descents from the most promising points on each side of b = 1 and keeps
-    the overall best. Non-convergence is reported through the result flag,
-    not raised.
+    the overall best; N is the exact least-squares scale at every point.
+    Non-convergence is reported through the result flag, not raised.
     """
     opts = options or FitOptions()
     if traj.n_d < 6:
@@ -212,11 +306,11 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     scores = np.array([_objective(x, traj.times, traj.ranks, weights) for x in grid])
     order = np.argsort(scores)
     per_side = max(1, opts.top_starts // 2)
-    low_side = [grid[i] for i in order if grid[i][2] < 1.0][:per_side]
-    high_side = [grid[i] for i in order if grid[i][2] > 1.0][:per_side]
+    low_side = [grid[i] for i in order if grid[i][1] < 1.0][:per_side]
+    high_side = [grid[i] for i in order if grid[i][1] > 1.0][:per_side]
     starts = low_side + high_side
-    for n0, a0, b0 in opts.extra_starts:
-        starts.append(np.array([math.log(n0), math.log(a0), float(b0)]))
+    for _, a0, b0 in opts.extra_starts:
+        starts.append(np.array([math.log(a0), float(b0)]))
 
     jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter, opts.xatol)
             for x0 in starts]
@@ -227,18 +321,17 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     else:
         outcomes = [_descend(j) for j in jobs]
 
-    best = min(outcomes, key=lambda o: o[0])
+    best = min(outcomes, key=lambda o: o.chi2)
     # polish from the winner; also settles ties between nearby basins
-    fun, x, converged = _descend((best[1], traj.times, traj.ranks, weights,
-                                  opts.max_iter, opts.xatol))
-    if fun > best[0]:
-        fun, x, converged = best  # the flag describes the optimum returned
+    polish = _descend((best.x, traj.times, traj.ranks, weights,
+                       opts.max_iter, opts.xatol))
+    final = best if polish.chi2 > best.chi2 else polish  # its flag is the one reported
 
-    n_star, a_star, b_star = math.exp(x[0]), math.exp(x[1]), float(x[2])
+    _, n_star = _projected(final.x, traj.times, traj.ranks, weights)
     return FitResult(
-        n_star=n_star, a_star=a_star, b_star=b_star, chi2=fun,
-        delta_y_c=math.sqrt(fun / traj.n_d) / n_star,
-        converged=converged, starts_tried=len(starts),
+        n_star=n_star, a_star=math.exp(final.x[0]), b_star=final.x[1], chi2=final.chi2,
+        delta_y_c=math.sqrt(final.chi2 / traj.n_d) / n_star,
+        converged=final.success, starts_tried=len(starts), starts=outcomes + [polish],
     )
 
 

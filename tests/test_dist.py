@@ -76,13 +76,13 @@ def test_laplace_vanishes_at_infinite_time(dist):
 
 def test_empirical_single_rate_halves_at_ln2():
     d = SalesRateDistribution.empirical([1.0])
-    assert laplace_transform(d, math.log(2.0)) == pytest.approx(0.5, rel=1e-12)
+    assert laplace_transform(d, math.log(2.0)) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_pareto_matches_quadrature_oracle():
     d = SalesRateDistribution.pareto(LOW_A, LOW_B)
     # frozen from the scaled-variable quadrature of the density
-    assert laplace_transform(d, 100.0) == pytest.approx(0.753934042845098911, rel=1e-10)
+    assert laplace_transform(d, 100.0) == pytest.approx(0.753934042845098911, rel=1e-10, abs=0.0)
     for t in [1e-3, 1.0, 100.0, 2500.0, 2e4]:
         ref, err = laplace_quad(LOW_A, LOW_B, t)
         assert abs(laplace_transform(d, t) - ref) <= max(1e-9 * ref, 3.0 * err)
@@ -158,7 +158,7 @@ def test_cutoff_finite_catalog_probe_form():
     g = 1e-3
     dc = SalesRateDistribution.pareto_cutoff(1.0, 0.6, g)
     at0 = laplace_transform(dc, 0.0, n_items=10 ** 5)
-    assert at0 == pytest.approx(1.0 + g - g / 10 ** 5, rel=1e-12)
+    assert at0 == pytest.approx(1.0 + g - g / 10 ** 5, rel=1e-12, abs=0.0)
     # both forms agree once t > 0 up to the vanishing head correction
     for t in [0.5, 5.0]:
         assert laplace_transform(dc, t, n_items=10 ** 5) == pytest.approx(
@@ -169,12 +169,12 @@ def test_band_helpers_match_quadrature():
     from scipy.integrate import quad
     d = SalesRateDistribution.pareto(1.0, 1.5)
     ref_mass, _ = quad(lambda w: 1.5 * w ** -2.5, 1.0, 2.0)
-    assert band_mass(d, 1.0, 2.0) == pytest.approx(ref_mass, rel=1e-12)
+    assert band_mass(d, 1.0, 2.0) == pytest.approx(ref_mass, rel=1e-12, abs=0.0)
     ref_bl, _ = quad(lambda w: math.exp(-0.7 * w) * 1.5 * w ** -2.5, 1.0, 2.0)
-    assert band_laplace(d, 1.0, 2.0, 0.7) == pytest.approx(ref_bl, rel=1e-10)
+    assert band_laplace(d, 1.0, 2.0, 0.7) == pytest.approx(ref_bl, rel=1e-10, abs=0.0)
     # full band reduces to the plain transform
     assert band_laplace(d, 1e-12, math.inf, 0.7) == pytest.approx(
-        laplace_transform(d, 0.7), rel=1e-10)
+        laplace_transform(d, 0.7), rel=1e-10, abs=0.0)
 
 
 def test_rates_csv_round_trip(tmp_path):

@@ -19,7 +19,7 @@ from rankflow.fit import (
     classify_regime,
     fit_pareto,
 )
-from rankflow.fit import _resolve_workers
+from rankflow.fit import _objective, _resolve_workers, minimize
 from rankflow.limit import _pareto_y_grid
 from rankflow.sim import synthesize_noisy_trajectory
 
@@ -89,7 +89,7 @@ class TestChi2:
         base = chi2(traj, n0, a0, b0)
         shifted = RankingTrajectory(traj.times, traj.ranks + 100.0)
         assert chi2(shifted, n0, a0, b0) == pytest.approx(
-            base + traj.n_d * 100.0 ** 2, rel=1e-9)
+            base + traj.n_d * 100.0 ** 2, rel=1e-9, abs=0.0)
 
     def test_rejects_invalid_parameters(self):
         traj = low_fixture(10)
@@ -104,15 +104,15 @@ class TestFit:
         res = fit_pareto(low_fixture(77))
         n0, a0, b0 = LOW
         assert res.converged
-        assert res.n_star == pytest.approx(n0, rel=1e-3)
-        assert res.a_star == pytest.approx(a0, rel=1e-3)
-        assert res.b_star == pytest.approx(b0, rel=1e-3)
+        assert res.n_star == pytest.approx(n0, rel=1e-3, abs=0.0)
+        assert res.a_star == pytest.approx(a0, rel=1e-3, abs=0.0)
+        assert res.b_star == pytest.approx(b0, rel=1e-3, abs=0.0)
         assert res.starts_tried >= 2
 
     def test_delta_y_c_consistency(self):
         res = fit_pareto(low_fixture(40, sigma=5e3, seed=9))
         assert res.delta_y_c == pytest.approx(
-            math.sqrt(res.chi2 / 40) / res.n_star, rel=1e-12)
+            math.sqrt(res.chi2 / 40) / res.n_star, rel=1e-12, abs=0.0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="insufficient"):
@@ -126,8 +126,8 @@ class TestFit:
         base = fit_pareto(traj)
         c = 3.7
         scaled = fit_pareto(RankingTrajectory(traj.times, traj.ranks * c))
-        assert scaled.n_star / base.n_star == pytest.approx(c, rel=1e-6)
-        assert scaled.a_star == pytest.approx(base.a_star, rel=1e-6)
+        assert scaled.n_star / base.n_star == pytest.approx(c, rel=1e-6, abs=0.0)
+        assert scaled.a_star == pytest.approx(base.a_star, rel=1e-6, abs=0.0)
         assert scaled.b_star == pytest.approx(base.b_star, abs=1e-6)
 
     def test_time_scale_equivariance(self):
@@ -135,8 +135,8 @@ class TestFit:
         base = fit_pareto(traj)
         u = 0.25
         scaled = fit_pareto(RankingTrajectory(traj.times * u, traj.ranks))
-        assert scaled.a_star * u == pytest.approx(base.a_star, rel=1e-6)
-        assert scaled.n_star == pytest.approx(base.n_star, rel=1e-6)
+        assert scaled.a_star * u == pytest.approx(base.a_star, rel=1e-6, abs=0.0)
+        assert scaled.n_star == pytest.approx(base.n_star, rel=1e-6, abs=0.0)
         assert scaled.b_star == pytest.approx(base.b_star, abs=1e-6)
 
     def test_never_worse_than_dense_grid_oracle(self):
@@ -173,9 +173,9 @@ class TestFit:
         traj = synthesize_noisy_trajectory(d, int(n0), ts, 0.0, seed=0)
         assert traj.n_d == 77 + 27
         res = fit_pareto(traj)
-        assert res.n_star == pytest.approx(n0, rel=1e-3)
-        assert res.a_star == pytest.approx(a0, rel=1e-3)
-        assert res.b_star == pytest.approx(b0, rel=1e-3)
+        assert res.n_star == pytest.approx(n0, rel=1e-3, abs=0.0)
+        assert res.a_star == pytest.approx(a0, rel=1e-3, abs=0.0)
+        assert res.b_star == pytest.approx(b0, rel=1e-3, abs=0.0)
 
     def test_recovers_long_tail_exponent(self):
         d = SalesRateDistribution.pareto(2e-3, 1.4)
@@ -205,7 +205,7 @@ class TestFit:
         traj = low_fixture(30, sigma=5e3, seed=8)
         serial = fit_pareto(traj, FitOptions(workers=1))
         parallel = fit_pareto(traj, FitOptions(workers=4))
-        assert parallel.chi2 == pytest.approx(serial.chi2, rel=1e-12)
+        assert parallel.chi2 == pytest.approx(serial.chi2, rel=1e-12, abs=0.0)
         assert parallel.b_star == pytest.approx(serial.b_star, abs=1e-12)
 
     def test_env_var_caps_workers(self, monkeypatch):
@@ -231,7 +231,7 @@ class TestConvergedFlag:
                                              polish_worse, expected):
         # every other start converges; only the returned descent decides
         n0, a0, b0 = LOW
-        winner = np.array([math.log(n0), math.log(a0), b0])
+        winner = np.array([math.log(a0), b0])
         calls = []
 
         def scripted_minimize(fun, x0, args, **kwargs):
@@ -240,8 +240,8 @@ class TestConvergedFlag:
             calls.append(x0)
             if len(calls) == 8:  # 6 grid starts, the extra start, then the polish
                 return SimpleNamespace(fun=f + 1.0 if polish_worse else f, x=x0,
-                                       success=polish_ok)
-            return SimpleNamespace(fun=f, x=x0,
+                                       success=polish_ok, nfev=1)
+            return SimpleNamespace(fun=f, x=x0, nfev=1,
                                    success=winner_ok or not np.allclose(x0, winner))
 
         monkeypatch.setattr(rankflow.fit, "minimize", scripted_minimize)
@@ -250,6 +250,68 @@ class TestConvergedFlag:
         assert np.allclose(calls[-1], winner)
         assert res.b_star == b0
         assert res.converged is expected
+
+
+def rosenbrock(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+def projected_problem(b0):
+    """The fit objective on a noisy 200-point trajectory of exponent b0,
+    started from the grid point a = 1/t_span, b = 0.9."""
+    n0, a0, _ = LOW
+    ts = np.linspace(10.0, 1900.0, 200)
+    traj = synthesize_noisy_trajectory(SalesRateDistribution.pareto(a0, b0), int(n0),
+                                       ts, 200.0, seed=11)
+    x0 = np.array([math.log(1.0 / (ts[-1] - ts[0])), 0.9])
+    return _objective, x0, (traj.times, traj.ranks, None)
+
+
+class TestSimplex:
+    """The in-house Nelder-Mead against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("problem,maxiter,maxfev,converges", [
+        ((rosenbrock, np.array([-1.2, 1.0]), ()), 2000, 8000, True),
+        ((rosenbrock, np.array([-1.2, 0.0]), ()), 2000, 8000, True),
+        (projected_problem(0.6312), 2000, 8000, True),
+        (projected_problem(1.2), 2000, 8000, True),
+        (projected_problem(0.6312), 1, 4, False),
+        # the second step needs evaluations 6 and 7, so the budget ends mid-step
+        ((rosenbrock, np.array([-1.2, 1.0]), ()), 100, 6, False),
+    ], ids=["rosenbrock", "zero-coordinate", "projected-b0.6312", "projected-b1.2",
+            "max-iter-1", "max-fev-mid-step"])
+    def test_matches_scipy(self, problem, maxiter, maxfev, converges):
+        optimize = pytest.importorskip("scipy.optimize")
+        fun, x0, args = problem
+        options = dict(maxiter=maxiter, maxfev=maxfev, xatol=1e-9,
+                       fatol=1e-12 * (1.0 + abs(fun(x0, *args))))
+        ours = minimize(fun, x0, args=args, **options)
+        ref = optimize.minimize(fun, x0, args=args, method="Nelder-Mead", options=options)
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert float(ours.fun) == float(ref.fun)
+        assert ours.nfev == ref.nfev
+        assert ours.success == ref.success == converges
+
+
+class TestStartReport:
+    def test_one_entry_per_descent(self):
+        traj = low_fixture(30, sigma=5e3, seed=7)
+        res = fit_pareto(traj)
+        assert len(res.starts) == res.starts_tried + 1  # the polish is last
+        assert res.chi2 == min(d.chi2 for d in res.starts)
+        assert any(math.exp(d.x[0]) == res.a_star and d.x[1] == res.b_star
+                   for d in res.starts if d.chi2 == res.chi2)
+        assert res.starts[-1].x0 == min(res.starts[:-1], key=lambda d: d.chi2).x
+        for d in res.starts:
+            assert len(d.x0) == len(d.x) == 2
+            assert d.nfev > 0 and d.success
+            assert d.chi2 == _objective(np.array(d.x), traj.times, traj.ranks, None)
+
+    def test_projected_scale_is_least_squares(self):
+        traj = low_fixture(30, sigma=5e3, seed=7)
+        res = fit_pareto(traj)
+        for n in (res.n_star * (1.0 - 1e-6), res.n_star * (1.0 + 1e-6)):
+            assert chi2(traj, n, res.a_star, res.b_star) > res.chi2
 
 
 class TestRegime:

@@ -39,7 +39,7 @@ class TestCurve:
     def test_two_point_empirical(self):
         d = SalesRateDistribution.empirical([0.5, 2.0])
         expected = 1.0 - 0.5 * (math.exp(-0.5) + math.exp(-2.0))
-        assert y_c(d, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert y_c(d, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_concave_and_tangential_for_b_below_one(self):
         # short times rise like t^b, so the difference quotient blows up at 0
@@ -67,10 +67,10 @@ class TestShortTime:
     def test_formula_instantiation(self):
         d = SalesRateDistribution.pareto(1.0, 0.5)
         expected = math.sqrt(1e-6) * math.gamma(0.5)
-        assert y_c_short_time(d, 1e-6) == pytest.approx(expected, rel=1e-12)
+        assert y_c_short_time(d, 1e-6) == pytest.approx(expected, rel=1e-12, abs=0.0)
         d9 = SalesRateDistribution.pareto(1.0, 0.9)
         assert y_c_short_time(d9, 1e-8) == pytest.approx(
-            1e-8 ** 0.9 * math.gamma(0.1), rel=1e-12)
+            1e-8 ** 0.9 * math.gamma(0.1), rel=1e-12, abs=0.0)
 
     def test_agreement_sweep(self):
         # leading relative correction is q^(1-b) / Gamma(1-b) for b = 0.5,
@@ -101,12 +101,12 @@ class TestInversion:
         # root of the b = 0.5 curve at level 0.5, from the independent
         # Brent-on-quadrature route
         d = SalesRateDistribution.pareto(1.0, 0.5)
-        assert invert_y_c(d, 0.5) == pytest.approx(0.122309254976997466, rel=1e-10)
+        assert invert_y_c(d, 0.5) == pytest.approx(0.122309254976997466, rel=1e-10, abs=0.0)
 
     def test_q_frozen_oracle_value_b_above_one(self):
         d = SalesRateDistribution.pareto(1.0, 1.2)
-        assert q_of_r(d, 0.5) == pytest.approx(0.308677051629779898, rel=1e-10)
-        assert q_of_r(d, 0.5) == pytest.approx(q_quad(1.2, 0.5), rel=1e-9)
+        assert q_of_r(d, 0.5) == pytest.approx(0.308677051629779898, rel=1e-10, abs=0.0)
+        assert q_of_r(d, 0.5) == pytest.approx(q_quad(1.2, 0.5), rel=1e-9, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(1e-3, 1e3), b=st.floats(0.15, 1.9).filter(
@@ -116,12 +116,12 @@ class TestInversion:
         # double precision that a 1e-8 relative round trip requires
         d = SalesRateDistribution.pareto(0.01, b)
         t_back = invert_y_c(d, y_c(d, t))
-        assert t_back == pytest.approx(t, rel=1e-8)
+        assert t_back == pytest.approx(t, rel=1e-8, abs=0.0)
 
     def test_round_trip_full_time_range(self):
         d = low2()
         for t in 10.0 ** np.linspace(-3, 4, 15):
-            assert invert_y_c(d, y_c(d, t)) == pytest.approx(t, rel=1e-8)
+            assert invert_y_c(d, y_c(d, t)) == pytest.approx(t, rel=1e-8, abs=0.0)
 
     def test_inverse_consistency_grid(self):
         d = low2()
@@ -154,14 +154,14 @@ class TestPotentialShare:
         d = SalesRateDistribution.pareto_cutoff(LOW_A, LOW_B, 1e-3)
         total = sales_share_potential(d, 0.0, 1.0)
         assert math.isfinite(total) and total > 0.0
-        assert total == pytest.approx(d.mean_rate(), rel=1e-12)
+        assert total == pytest.approx(d.mean_rate(), rel=1e-12, abs=0.0)
 
     def test_cutoff_total_scales_like_gamma_power(self):
         # the total depends on the cutoff even when the curve does not
         b = LOW_B
         t3 = sales_share_potential(SalesRateDistribution.pareto_cutoff(1.0, b, 1e-3), 0.0, 1.0)
         t4 = sales_share_potential(SalesRateDistribution.pareto_cutoff(1.0, b, 1e-4), 0.0, 1.0)
-        assert t4 / t3 == pytest.approx(10.0 ** ((1.0 - b) / b), rel=0.05)
+        assert t4 / t3 == pytest.approx(10.0 ** ((1.0 - b) / b), rel=0.05, abs=0.0)
 
     def test_empirical_partial_sums(self):
         d = SalesRateDistribution.empirical([4.0, 1.0, 3.0, 2.0])
@@ -204,15 +204,15 @@ class TestRankingShare:
         lo = SalesRateDistribution.pareto(1.0, 1.0 - eps)
         hi = SalesRateDistribution.pareto(1.0, 1.0 + eps)
         for t in [0.05, 0.4, 2.0]:
-            assert y_c(lo, t) == pytest.approx(y_c(hi, t), rel=1e-2)
+            assert y_c(lo, t) == pytest.approx(y_c(hi, t), rel=1e-2, abs=0.0)
         for r in [0.2, 0.6]:
             assert sales_share_ranking(lo, r, 1.0) == pytest.approx(
-                sales_share_ranking(hi, r, 1.0), rel=1e-2)
+                sales_share_ranking(hi, r, 1.0), rel=1e-2, abs=0.0)
 
     def test_empirical_route(self):
         d = SalesRateDistribution.empirical([0.5, 1.0, 2.0, 4.0])
         total = sales_share_ranking(d, 0.0, 1.0)
-        assert total == pytest.approx(np.mean([0.5, 1.0, 2.0, 4.0]), rel=1e-12)
+        assert total == pytest.approx(np.mean([0.5, 1.0, 2.0, 4.0]), rel=1e-12, abs=0.0)
 
     def test_cutoff_matches_quadrature(self):
         g = 1e-2
@@ -233,7 +233,7 @@ class TestJointMeasure:
     def test_band_value_frozen_oracle(self):
         d = SalesRateDistribution.pareto(1.0, 1.5)
         got = stationary_joint_cdf(d, 0.3, 1.0, 2.0)
-        assert got == pytest.approx(0.130664586376756131, rel=1e-9)
+        assert got == pytest.approx(0.130664586376756131, rel=1e-9, abs=0.0)
 
     def test_stationary_domain_errors(self):
         d = SalesRateDistribution.pareto(1.0, 1.5)
@@ -250,7 +250,7 @@ class TestJointMeasure:
         from rankflow.dist import band_mass
         d = SalesRateDistribution.pareto(1.0, 1.5)
         got = nonstationary_joint_cdf(d, 0.9, 1.0, 2.0, 0.0)
-        assert got == pytest.approx(0.9 * band_mass(d, 1.0, 2.0), rel=1e-12)
+        assert got == pytest.approx(0.9 * band_mass(d, 1.0, 2.0), rel=1e-12, abs=0.0)
 
     def test_nonstationary_requires_y_beyond_boundary(self):
         d = SalesRateDistribution.pareto(1.0, 1.5)
@@ -344,7 +344,7 @@ class TestArrayPath:
             return
         total = d.mean_rate()
         for share in (sales_share_ranking, sales_share_potential):
-            assert share(d, 0.0, r) + share(d, r, 1.0) == pytest.approx(total, rel=1e-10)
+            assert share(d, 0.0, r) + share(d, r, 1.0) == pytest.approx(total, rel=1e-10, abs=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(b=_B_BOTH_SIDES, gamma=st.sampled_from([0.0, 1e-2, 0.1]), r=st.floats(0.01, 0.99))
