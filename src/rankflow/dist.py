@@ -9,7 +9,9 @@ rates w (sales per hour). Three families are supported:
 * ``empirical``: a finite list of observed rates.
 
 The Laplace transform L(t) of the rate distribution is the central object:
-the limiting scaled ranking curve is 1 - L(t).
+the limiting scaled ranking curve is 1 - L(t). For the power laws, L, the
+curve, the sales flow and the band transforms all come from one closed form,
+P(q) = q^b Gamma(1-b, q) (see :func:`_pareto_p`), on both sides of b = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import open_csv, read_columns, write_rows
-from .special import UNDERFLOW_P, _gamma_upper, _gamma_upper_grid
+from .special import UNDERFLOW_P, _gamma_upper_grid
+from .special import _gamma_upper  # noqa: F401 (perfbench hooks the scalar)
 
 __all__ = [
     "SalesRateDistribution",
@@ -35,7 +38,9 @@ __all__ = [
 # re-export: the incomplete gamma operations live with the distributions
 from .special import gamma_recursion_shift, upper_incomplete_gamma  # noqa: E402,F401
 
-_B_GUARD = 1e-6  # exclusion band around b = 1, where the closed forms switch
+# exclusion band around b = 1, where S_pot, the mean rate and the totals
+# carry a 1/(b-1) factor
+_B_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,78 +107,74 @@ class SalesRateDistribution:
             return self.a, self._cutoff_upper()
         return float(self.rates.min()), float(self.rates.max())
 
-    def _cutoff_upper(self, n_items: int | None = None) -> float:
+    def _cutoff_upper(self) -> float:
         if self.gamma == 0.0:
             return math.inf
-        w = self.a * (1.0 + 1.0 / self.gamma) ** (1.0 / self.b)
-        if n_items is not None:
-            w *= n_items ** (1.0 / self.b)
-        return w
+        return self.a * (1.0 + 1.0 / self.gamma) ** (1.0 / self.b)
 
     def mean_rate(self) -> float:
         """Mean of w; infinite for plain pareto with b <= 1."""
         if self.kind == "empirical":
             return float(self.rates.mean())
-        a, b = self.a, self.b
-        if self.kind == "pareto":
+        a, b, g = self.a, self.b, self.gamma
+        if g == 0.0:
             return a * b / (b - 1.0) if b > 1.0 else math.inf
-        w_hi = self._cutoff_upper()
-        if math.isinf(w_hi):
-            return a * b / (b - 1.0) if b > 1.0 else math.inf
-        return (a * b / (1.0 - b)) * (1.0 + self.gamma) * ((w_hi / a) ** (1.0 - b) - 1.0)
+        # (w_hi/a)^(1-b) - 1 with w_hi/a = (1 + 1/g)^(1/b); the power is near 1 near b = 1
+        return (a * b / (1.0 - b)) * (1.0 + g) * math.expm1((1.0 - b) / b * math.log1p(1.0 / g))
 
 
-def _pareto_laplace_grid(b: float, q: np.ndarray) -> np.ndarray:
-    """L(t) for a unit-scale pareto law, on the dimensionless grid q = a t.
+def _pareto_p(b: float, q: np.ndarray) -> np.ndarray:
+    """P(q) = q^b Gamma(1-b, q) on an array of q >= 0, for any b in (0, 2].
 
-    Uses the integration-by-parts forms whose gamma order lies in [0, 1),
-    which stay finite as q -> 0 (the direct order -b form diverges there).
-    Beyond UNDERFLOW_P, where Gamma is exactly 0, L is 0 to double precision
-    and q^b could overflow, so those lanes skip the formula.
+    Every power-law quantity is built from P on the dimensionless q = a t:
+    the unit-scale transform is L = e^-q - P and the curve y = -expm1(-q) + P.
+    The order 1 - b lies in [-1, 1), the grid kernel's range, on both sides
+    of b = 1. P -> 0 as q -> 0 (like q^b Gamma(1-b) below b = 1 and q/(b-1)
+    above), so y, a sum of two non-negative terms, keeps its relative
+    accuracy at small q; L cancels by a factor of about q/b at large q, where
+    L ~ b e^-q / q. Beyond UNDERFLOW_P, where Gamma underflows and q^b could
+    overflow, P takes its large-q limit e^-q, so L is exactly 0 and y exactly
+    1 there.
     """
     q = np.asarray(q, dtype=float)
-    out = np.where(q > UNDERFLOW_P, 0.0, 1.0)
-    pos = (q > 0.0) & (q <= UNDERFLOW_P)
-    qp = q[pos]
-    if b < 1.0:
-        out[pos] = np.exp(-qp) - np.exp(b * np.log(qp)) * _gamma_upper_grid(1.0 - b, qp)
-    else:
-        out[pos] = (1.0 - qp / (b - 1.0)) * np.exp(-qp) \
-            + np.exp(b * np.log(qp)) * _gamma_upper_grid(2.0 - b, qp) / (b - 1.0)
-    return np.clip(out, 0.0, 1.0)
+    out = np.where(q > UNDERFLOW_P, np.exp(-q), 0.0)
+    live = (q > 0.0) & (q <= UNDERFLOW_P)
+    ql = q[live]
+    out[live] = np.exp(b * np.log(ql)) * _gamma_upper_grid(1.0 - b, ql)
+    return out
 
 
-def _laplace_grid(dist: SalesRateDistribution, t: np.ndarray,
-                  n_items: int | None = None) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if dist.kind == "empirical":
-        return np.exp(-np.multiply.outer(t, dist.rates)).mean(axis=-1)
-    q = dist.a * t
-    base = _pareto_laplace_grid(dist.b, q)
-    if dist.kind == "pareto" or dist.gamma == 0.0:
-        return base
-    w_hi = dist._cutoff_upper(n_items)
-    head_mass = (dist.a / w_hi) ** dist.b  # survival of the law at the truncation point
-    out = (1.0 + dist.gamma) * (base - head_mass * _pareto_laplace_grid(dist.b, w_hi * t))
-    if n_items is None:
-        # normalized truncation: total mass is exactly 1
-        out[t == 0.0] = 1.0
-        return np.clip(out, 0.0, 1.0)
-    # finite-catalog probe form; carries total mass 1 + gamma - gamma/N
-    return np.clip(out, 0.0, 1.0 + dist.gamma)
+def _pareto_laplace(b: float, q: np.ndarray) -> np.ndarray:
+    """L for a unit-scale pareto law on the grid q = a t."""
+    return np.exp(-q) - _pareto_p(b, q)
 
 
-def laplace_transform(dist: SalesRateDistribution, t, n_items: int | None = None):
+def _pareto_mix(dist: SalesRateDistribution, f, t: np.ndarray) -> np.ndarray:
+    """A quantity linear in the rate density, given as f(b, q) for the
+    unit-scale law, for either power law: f(b, a t) without cutoff, and
+    (1 + gamma) f(b, a t) - gamma f(b, w_hi t) with it, since the truncated
+    head has mass (a/w_hi)^b = gamma/(1 + gamma)."""
+    out = f(dist.b, dist.a * t)
+    g = dist.gamma
+    if g == 0.0:
+        return out
+    return (1.0 + g) * out - g * f(dist.b, dist._cutoff_upper() * t)
+
+
+def laplace_transform(dist: SalesRateDistribution, t):
     """L(t) = integral exp(-w t) over the rate distribution.
 
     Accepts a scalar or array of times t >= 0 and returns matching shape.
-    ``n_items`` optionally re-inserts the finite-catalog factor in the
-    cutoff support limit; by default the infinite-catalog limit is used.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0.0):
         raise ValueError("time t must be non-negative (and not NaN)")
-    out = _laplace_grid(dist, np.atleast_1d(t_arr), n_items=n_items)
+    t = np.atleast_1d(t_arr)
+    if dist.kind == "empirical":
+        out = np.exp(-np.multiply.outer(t, dist.rates)).mean(axis=-1)
+    else:
+        out = np.clip(_pareto_mix(dist, _pareto_laplace, t), 0.0, 1.0)
+        out[t == 0.0] = 1.0  # the cutoff's two unit terms cancel only to an ulp
     if t_arr.ndim == 0:
         return float(out[0])
     return out.reshape(t_arr.shape)
@@ -217,14 +218,11 @@ def band_laplace(dist: SalesRateDistribution, w_lo: float, w_hi: float, t: float
         factor = 1.0 + dist.gamma
     if lo >= hi:
         return 0.0
-
-    def tail(w: float) -> float:
-        # integral_w^inf exp(-x t) b a^b x^(-b-1) dx = b (a t)^b Gamma(-b, w t)
-        if math.isinf(w):
-            return 0.0
-        return b * math.exp(b * math.log(a * t)) * _gamma_upper(-b, w * t)
-
-    return factor * (tail(lo) - tail(hi))
+    # the tail integral_w^inf exp(-x t) b a^b x^(-b-1) dx is (a/w)^b times the
+    # transform of the unit-scale law with minimum rate w, at w t
+    w = np.array([lo, hi])
+    tail = (a / w) ** b * _pareto_laplace(b, w * t)
+    return factor * float(tail[0] - tail[1])
 
 
 def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.ndarray:

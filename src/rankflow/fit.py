@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import open_csv, read_columns, write_rows
+from .dist import _B_GUARD
 from .limit import _pareto_y_grid
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
     "fit_pareto",
     "classify_regime",
 ]
-
-_B_GUARD = 1e-6
 
 TRAJECTORY_HEADER = ["t_hours", "rank"]
 

@@ -6,7 +6,9 @@ the sales-rate distribution. Inverting that curve converts an observed
 rank fraction back into elapsed time, which in turn prices how much of the
 total sales flow sits in any ranking band: the lucky low-rate items near
 the head and unlucky hits in the tail make the ranking-band share S_rank
-differ from the potential-ordered share S_pot.
+differ from the potential-ordered share S_pot. For the power laws the
+curve, the fitter's fast path and the sales flow all come from one closed
+form, dist's P(q) = q^b Gamma(1-b, q), with no switch at b = 1.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import open_csv, read_columns, write_rows
-from .dist import SalesRateDistribution, band_laplace, band_mass, laplace_transform
-from .special import UNDERFLOW_P, _gamma_upper_grid
-from .special import _gamma_upper  # noqa: F401 (perfbench hooks the scalar)
+from .dist import (SalesRateDistribution, _pareto_mix, _pareto_p, band_laplace, band_mass,
+                   laplace_transform)
+from .special import _gamma_upper, _gamma_upper_grid  # noqa: F401 (perfbench hooks both)
 
 __all__ = [
     "DivergenceError",
@@ -55,20 +57,12 @@ def y_c(dist: SalesRateDistribution, t):
 def _pareto_y_grid(a: float, b: float, t: np.ndarray) -> np.ndarray:
     """Unvalidated fast path for the power-law curve, used by the fitter.
 
-    Beyond UNDERFLOW_P, where Gamma is exactly 0, y is 1 to double precision
-    and q^b could overflow, so those lanes skip the formula.
+    y = -expm1(-q) + P(q) with q = a t: a sum of two non-negative terms, so
+    it keeps its relative accuracy at small q, and it is exactly 1 past the
+    Gamma underflow.
     """
-    t = np.asarray(t, dtype=float)
-    q = a * t
-    out = np.where(q > UNDERFLOW_P, 1.0, 0.0)
-    pos = (q > 0.0) & (q <= UNDERFLOW_P)
-    qp = q[pos]
-    if b < 1.0:
-        out[pos] = -np.expm1(-qp) + np.exp(b * np.log(qp)) * _gamma_upper_grid(1.0 - b, qp)
-    else:
-        out[pos] = 1.0 - (1.0 - qp / (b - 1.0)) * np.exp(-qp) \
-            - np.exp(b * np.log(qp)) * _gamma_upper_grid(2.0 - b, qp) / (b - 1.0)
-    return np.clip(out, 0.0, 1.0)
+    q = a * np.asarray(t, dtype=float)
+    return -np.expm1(-q) + _pareto_p(b, q)
 
 
 def y_c_short_time(dist: SalesRateDistribution, t):
@@ -168,15 +162,15 @@ def sales_share_potential(dist: SalesRateDistribution, r1: float, r2: float) -> 
         n = w.size
         i1, i2 = round(r1 * n), round(r2 * n)
         return float(w[i1:i2].sum() / n)
-    a, b = dist.a, dist.b
-    g = dist.gamma if dist.kind == "pareto_cutoff" else 0.0
-    if g == 0.0:
-        if r1 == 0.0 and b < 1.0:
-            raise DivergenceError("head share is infinite for b < 1 without a cutoff")
-        e = (b - 1.0) / b
-        return a * b / (b - 1.0) * (r2 ** e - r1 ** e)
+    a, b, g = dist.a, dist.b, dist.gamma
+    scale = a * b / (b - 1.0) * (1.0 + g) ** (1.0 / b)
     e = (b - 1.0) / b
-    return a * b / (b - 1.0) * (1.0 + g) ** (1.0 / b) * ((r2 + g) ** e - (r1 + g) ** e)
+    if r1 + g == 0.0:
+        if b < 1.0:
+            raise DivergenceError("head share is infinite for b < 1 without a cutoff")
+        return scale * r2 ** e
+    # (r2 + g)^e - (r1 + g)^e, whose terms are both near 1 near b = 1
+    return scale * (r1 + g) ** e * math.expm1(e * math.log1p((r2 - r1) / (r1 + g)))
 
 
 def _sales_flow(dist: SalesRateDistribution, t) -> np.ndarray:
@@ -185,8 +179,8 @@ def _sales_flow(dist: SalesRateDistribution, t) -> np.ndarray:
 
     The ranking-band share is the flow difference between the band's end
     times; the flow is the mean rate at t = 0 and vanishes at t = inf. For
-    power laws it is (1 + gamma) a b (T(a t) - (a/w_hi)^(b-1) T(w_hi t))
-    with T(q) = Gamma(1-b, q) q^(b-1), the w_hi term absent without cutoff.
+    power laws it is b P(a t) / t, from dL/dq = -b P(q)/q, with the cutoff
+    law's w_hi term.
     """
     t = np.asarray(t, dtype=float)
     if dist.kind == "empirical":
@@ -197,17 +191,8 @@ def _sales_flow(dist: SalesRateDistribution, t) -> np.ndarray:
         if math.isinf(mean):
             raise DivergenceError("ranking head share is infinite for b < 1")
         out[t == 0.0] = mean
-    mid = (t > 0.0) & (t < math.inf)
-    a, b, g = dist.a, dist.b, dist.gamma
-    w_hi = dist._cutoff_upper() if dist.kind == "pareto_cutoff" else math.inf
-
-    def tail(q):
-        return _gamma_upper_grid(1.0 - b, q) * q ** (b - 1.0)
-
-    flow = tail(a * t[mid])
-    if w_hi < math.inf:
-        flow = (1.0 + g) * (flow - (a / w_hi) ** (b - 1.0) * tail(w_hi * t[mid]))
-    out[mid] = a * b * flow
+    pos = t > 0.0
+    out[pos] = dist.b * _pareto_mix(dist, _pareto_p, t[pos]) / t[pos]
     return out
 
 

@@ -152,19 +152,6 @@ def test_cutoff_matches_quadrature():
         assert abs(laplace_transform(dc, t) - ref) <= max(1e-9 * ref, 3.0 * err)
 
 
-def test_cutoff_finite_catalog_probe_form():
-    # with explicit N the transform follows the untruncated-head variant,
-    # whose t -> 0 value carries the extra head mass gamma - gamma/N
-    g = 1e-3
-    dc = SalesRateDistribution.pareto_cutoff(1.0, 0.6, g)
-    at0 = laplace_transform(dc, 0.0, n_items=10 ** 5)
-    assert at0 == pytest.approx(1.0 + g - g / 10 ** 5, rel=1e-12, abs=0.0)
-    # both forms agree once t > 0 up to the vanishing head correction
-    for t in [0.5, 5.0]:
-        assert laplace_transform(dc, t, n_items=10 ** 5) == pytest.approx(
-            laplace_transform(dc, t), abs=2.0 * g)
-
-
 def test_band_helpers_match_quadrature():
     from scipy.integrate import quad
     d = SalesRateDistribution.pareto(1.0, 1.5)

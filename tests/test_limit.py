@@ -1,14 +1,16 @@
 """Limit curves, inversions, joint measure, and sales-share functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankflow.dist import SalesRateDistribution
+from rankflow.dist import SalesRateDistribution, laplace_transform
 from rankflow.limit import (
+    _pareto_y_grid,
     DivergenceError,
     SalesShareReport,
     build_share_report,
@@ -367,3 +369,86 @@ class TestArrayPath:
             ref, err = ranking_share_quad(2.0, b, x, 1.0, gamma=g)
             assert abs(got - ref) <= max(1e-8 * ref, 3.0 * err)
 
+
+
+# b on both sides of 1, down to 1e-5 from it, and q = a t from 1e-8 to 630;
+# the points from 20 to 30 are where e^-q - P cancels most in L
+_MP_BS = [0.01, 0.3, 0.6312, 0.9, 0.99, 1.0 - 1e-5, 1.0 + 1e-5, 1.01, 1.2, 1.5, 1.9,
+          1.999, 2.0]
+_MP_QS = np.concatenate([np.geomspace(1e-8, 630.0, 41), np.linspace(20.0, 30.0, 11)])
+
+
+def _mp_laplace(b, q):
+    """Unit-scale pareto transform e^-q - q^b Gamma(1-b, q), at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    q, b = mpmath.mpf(float(q)), mpmath.mpf(b)
+    return mpmath.exp(-q) - q ** b * mpmath.gammainc(1 - b, q)
+
+
+class TestPowerLawClosedForm:
+    """The curve, the transform, S_pot and the mean rate against mpmath, on
+    both sides of b = 1."""
+
+    @pytest.mark.parametrize("b", _MP_BS)
+    def test_curve_matches_mpmath(self, b):
+        got = _pareto_y_grid(1.0, b, _MP_QS)
+        for q, y in zip(_MP_QS, got):
+            want = float(1 - _mp_laplace(b, q))
+            assert y == pytest.approx(want, rel=1e-13, abs=0.0), (b, q)
+
+    @pytest.mark.parametrize("b", _MP_BS)
+    def test_transform_matches_mpmath(self, b):
+        qs = _MP_QS[_MP_QS <= 30.0]
+        got = laplace_transform(SalesRateDistribution.pareto(1.0, b), qs)
+        for q, lt in zip(qs, got):
+            # L ~ b e^-q / q, so e^-q - P cancels by a factor of about q/b
+            assert lt == pytest.approx(float(_mp_laplace(b, q)),
+                                       rel=max(1e-12, 2e-14 * q / b), abs=0.0), (b, q)
+
+    def test_curve_is_exactly_one_past_gamma_underflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in _MP_BS:
+                got = _pareto_y_grid(1.0, b, np.array([1e3, 1e300, 1.7e308]))
+                assert list(got) == [1.0, 1.0, 1.0], b
+
+    @pytest.mark.parametrize("b", [1.0 - 2e-6, 1.0 + 2e-6, 1.5, 0.6312])
+    @pytest.mark.parametrize("g", [0.0, 0.1])
+    def test_potential_share_and_mean_rate_match_mpmath(self, b, g):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a = 0.7
+        d = SalesRateDistribution.pareto_cutoff(a, b, g) if g else \
+            SalesRateDistribution.pareto(a, b)
+        mb, mg = mpmath.mpf(b), mpmath.mpf(g)
+        e = (mb - 1) / mb
+
+        def s_pot(r1, r2):
+            # integral over r1..r2 of the rate a ((1 + g)/(r + g))^(1/b) at rank fraction r
+            return a * (1 + mg) ** (1 / mb) * ((r2 + mg) ** e - (r1 + mg) ** e) / e
+
+        for r1, r2 in [(0.1, 0.5), (0.25, 1.0), (0.5, 0.500001), (0.0, 0.3)]:
+            if r1 + g == 0.0 and b < 1.0:
+                continue  # the head share diverges
+            assert sales_share_potential(d, r1, r2) == pytest.approx(
+                float(s_pot(r1, r2)), rel=1e-13, abs=0.0), (r1, r2)
+        if g > 0.0 or b > 1.0:
+            assert d.mean_rate() == pytest.approx(float(s_pot(0.0, 1.0)), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-4, 1e2), log_d=st.floats(-5.0, 0.0), side=st.sampled_from([-1.0, 1.0]),
+           gamma=st.sampled_from([0.0]) | st.floats(1e-3, 10.0),
+           log_q=st.floats(-8.0, 3.0), step=st.floats(1e-6, 1e3))
+    def test_curve_non_decreasing(self, a, log_d, side, gamma, log_q, step):
+        # steps of at least a millionth of t stay above the rounding of 1 - L;
+        # below gamma = 1e-3, w_hi = a (1 + 1/gamma)^(1/b) can overflow at b near 0.01
+        b = 1.0 + side * 10.0 ** log_d
+        assume(b >= 0.01)
+        d = SalesRateDistribution.pareto_cutoff(a, b, gamma)
+        t = np.array([1.0, 1.0 + step]) * 10.0 ** log_q / a
+        y1, y2 = y_c(d, t)
+        assert 0.0 <= y1 <= y2 <= 1.0
+        if gamma == 0.0:
+            f1, f2 = _pareto_y_grid(a, b, t)
+            assert 0.0 <= f1 <= f2 <= 1.0
