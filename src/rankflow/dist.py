@@ -68,6 +68,9 @@ class SalesRateDistribution:
             if self.kind == "pareto_cutoff":
                 if not 0.0 <= self.gamma < math.inf:
                     raise ValueError("cutoff ratio gamma must be finite and non-negative")
+                if self.gamma > 0.0 and not self._cutoff_in_range():
+                    raise ValueError("cutoff rate a*(1 + 1/gamma)^(1/b) or the mean rate "
+                                     "exceeds the double range; raise gamma or b")
             elif self.gamma != 0.0:
                 raise ValueError("plain pareto takes no cutoff parameter")
         elif self.kind == "empirical":
@@ -111,6 +114,14 @@ class SalesRateDistribution:
         if self.gamma == 0.0:
             return math.inf
         return self.a * (1.0 + 1.0 / self.gamma) ** (1.0 / self.b)
+
+    def _cutoff_in_range(self) -> bool:
+        # log(a) + log1p(1/gamma)/b past ~709.78 overflows w_hi; a < 1 can
+        # still overflow the power, and b < 1 the mean rate's expm1
+        try:
+            return math.isfinite(self._cutoff_upper()) and math.isfinite(self.mean_rate())
+        except OverflowError:
+            return False
 
     def mean_rate(self) -> float:
         """Mean of w; infinite for plain pareto with b <= 1."""

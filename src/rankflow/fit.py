@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 TRAJECTORY_HEADER = ["t_hours", "rank"]
+_STARTS_PER_SIDE = 3    # descents from the best grid points on each side of b = 1
+_XATOL = 1e-9           # simplex diameter in (log a, b)
 
 
 @dataclass
@@ -90,8 +92,6 @@ class RankingTrajectory:
 @dataclass
 class FitOptions:
     max_iter: int = 2000
-    xatol: float = 1e-9          # simplex diameter in (log a, b)
-    top_starts: int = 6          # descents launched from the best grid points
     workers: int = 1             # capped by RANKFLOW_THREADS
     weights: np.ndarray | None = None
     # (n0, a0, b0) starting guesses; n0 is projected out, so only (a0, b0) is used
@@ -254,10 +254,10 @@ def minimize(fun, x0, args=(), *, maxiter: int, maxfev: int, xatol: float,
 
 
 def _descend(args) -> Descent:
-    x0, times, ranks, weights, max_iter, xatol = args
+    x0, times, ranks, weights, max_iter = args
     f0 = _objective(x0, times, ranks, weights)
     res = minimize(_objective, x0, args=(times, ranks, weights), maxiter=max_iter,
-                   maxfev=4 * max_iter, xatol=xatol, fatol=1e-12 * (1.0 + abs(f0)))
+                   maxfev=4 * max_iter, xatol=_XATOL, fatol=1e-12 * (1.0 + abs(f0)))
     return Descent(tuple(map(float, x0)), tuple(map(float, res.x)), float(res.fun),
                    int(res.nfev), bool(res.success))
 
@@ -304,15 +304,13 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     grid = _start_grid(traj)
     scores = np.array([_objective(x, traj.times, traj.ranks, weights) for x in grid])
     order = np.argsort(scores)
-    per_side = max(1, opts.top_starts // 2)
-    low_side = [grid[i] for i in order if grid[i][1] < 1.0][:per_side]
-    high_side = [grid[i] for i in order if grid[i][1] > 1.0][:per_side]
+    low_side = [grid[i] for i in order if grid[i][1] < 1.0][:_STARTS_PER_SIDE]
+    high_side = [grid[i] for i in order if grid[i][1] > 1.0][:_STARTS_PER_SIDE]
     starts = low_side + high_side
     for _, a0, b0 in opts.extra_starts:
         starts.append(np.array([math.log(a0), float(b0)]))
 
-    jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter, opts.xatol)
-            for x0 in starts]
+    jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter) for x0 in starts]
     workers = _resolve_workers(opts.workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -322,8 +320,7 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
 
     best = min(outcomes, key=lambda o: o.chi2)
     # polish from the winner; also settles ties between nearby basins
-    polish = _descend((best.x, traj.times, traj.ranks, weights,
-                       opts.max_iter, opts.xatol))
+    polish = _descend((best.x, traj.times, traj.ranks, weights, opts.max_iter))
     final = best if polish.chi2 > best.chi2 else polish  # its flag is the one reported
 
     _, n_star = _projected(final.x, traj.times, traj.ranks, weights)

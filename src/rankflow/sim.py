@@ -163,7 +163,9 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _State:
-    """Mutable per-run arrays updated chunk by chunk."""
+    """Mutable per-run arrays updated block by block. Sequence numbers and
+    event times never decrease along the run, so an item's latest sale holds
+    both its largest sequence number and its largest time."""
 
     def __init__(self, cfg: SimulationConfig):
         n = cfg.n_items
@@ -171,7 +173,6 @@ class _State:
         self.first_time = np.full(n, np.inf)
         self.last_time = np.full(n, -np.inf)
         self.last_seq = np.full(n, -1, dtype=np.int64)
-        self.own_seq = -1                       # tracked item's latest own sale
         self.boundary: list[int] = []
         self.tracked_ranks: list[float] = []
         self.snapshots: dict[float, np.ndarray] = {}
@@ -179,20 +180,9 @@ class _State:
         self.init_rank = cfg.initial_order
 
     def apply(self, items: np.ndarray, times: np.ndarray, seq0: int) -> None:
-        if items.size == 0:
-            return
-        # last occurrence of each item inside this block supersedes everything
-        u_rev, pos_rev = np.unique(items[::-1], return_index=True)
-        pos = items.size - 1 - pos_rev
-        self.last_seq[u_rev] = seq0 + pos
-        self.last_time[u_rev] = times[pos]
-        u_first, pos_first = np.unique(items, return_index=True)
-        self.first_time[u_first] = np.minimum(self.first_time[u_first], times[pos_first])
-        ti = self.cfg.track_item
-        if ti is not None:
-            hits = np.nonzero(items == ti)[0]
-            if hits.size:
-                self.own_seq = seq0 + int(hits[-1])
+        np.maximum.at(self.last_seq, items, np.arange(seq0, seq0 + items.size))
+        np.maximum.at(self.last_time, items, times)
+        np.minimum.at(self.first_time, items, times)
 
     def observe(self, theta: float) -> None:
         n_sold = int(np.count_nonzero(self.last_seq >= 0))

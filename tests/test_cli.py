@@ -191,6 +191,14 @@ class TestEvalCommand:
         lines = capsys.readouterr().out.splitlines()[1:]
         assert lines == ["1e+300,1,10", "1e+308,1,10"]
 
+    def test_cutoff_beyond_double_range_is_a_one_line_error(self, capsys):
+        assert cli.main(["eval", "--a", "1", "--b", "0.01", "--gamma", "1e-5",
+                         "--n", "10", "--times", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("rankflow: error:") and "double range" in err
+        assert err.count("\n") == 1
+
     def test_grid_mode(self, capsys):
         assert cli.main(["eval", "--a", "1.0", "--b", "1.5", "--n", "100",
                          "--t-grid", "0:2:0.5"]) == 0

@@ -44,6 +44,20 @@ def test_validation():
     SalesRateDistribution.pareto(1.0, 2.0)
 
 
+@pytest.mark.parametrize("a, b, gamma", [(1.0, 0.01, 1e-5), (1e300, 0.5, 1e-20),
+                                         (1e-3, 0.01, 1e-5), (1e-300, 0.01, 1e-6)])
+def test_cutoff_beyond_double_range_is_rejected(a, b, gamma):
+    # a (1 + 1/gamma)^(1/b) past the double range used to raise OverflowError
+    # from support() and mean_rate() instead of failing at construction
+    with pytest.raises(ValueError, match="double range"):
+        SalesRateDistribution.pareto_cutoff(a, b, gamma)
+
+
+def test_cutoff_near_double_range_is_finite():
+    dist = SalesRateDistribution.pareto_cutoff(1.0, 0.01, 1e-3)
+    assert math.isfinite(dist.support()[1]) and math.isfinite(dist.mean_rate())
+
+
 def test_laplace_at_zero_is_one():
     for d in [SalesRateDistribution.pareto(LOW_A, LOW_B),
               SalesRateDistribution.pareto(1.0, 1.5),

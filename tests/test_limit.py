@@ -438,14 +438,16 @@ class TestPowerLawClosedForm:
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(1e-4, 1e2), log_d=st.floats(-5.0, 0.0), side=st.sampled_from([-1.0, 1.0]),
-           gamma=st.sampled_from([0.0]) | st.floats(1e-3, 10.0),
+           gamma=st.sampled_from([0.0]) | st.floats(1e-8, 10.0),
            log_q=st.floats(-8.0, 3.0), step=st.floats(1e-6, 1e3))
     def test_curve_non_decreasing(self, a, log_d, side, gamma, log_q, step):
-        # steps of at least a millionth of t stay above the rounding of 1 - L;
-        # below gamma = 1e-3, w_hi = a (1 + 1/gamma)^(1/b) can overflow at b near 0.01
+        # steps of at least a millionth of t stay above the rounding of 1 - L
         b = 1.0 + side * 10.0 ** log_d
         assume(b >= 0.01)
-        d = SalesRateDistribution.pareto_cutoff(a, b, gamma)
+        try:
+            d = SalesRateDistribution.pareto_cutoff(a, b, gamma)
+        except ValueError:  # w_hi = a (1 + 1/gamma)^(1/b) past the double range
+            assume(False)
         t = np.array([1.0, 1.0 + step]) * 10.0 ** log_q / a
         y1, y2 = y_c(d, t)
         assert 0.0 <= y1 <= y2 <= 1.0

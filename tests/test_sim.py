@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rankflow.sim as sim_module
 from rankflow.dist import SalesRateDistribution, discrete_rates
 from rankflow.limit import stationary_joint_cdf, y_c
 from rankflow.sim import (
@@ -308,6 +309,60 @@ def test_sink_streams_the_recorded_events():
                                   recorded.event_items)
     np.testing.assert_array_equal(streamed.tracked_trajectory.ranks,
                                   recorded.tracked_trajectory.ranks)
+
+
+def _replay_move_to_front(run):
+    """Plain-list move-to-front replay of the event log: boundary counts and
+    rank vectors at each observation, and first/last sale times."""
+    cfg = run.config
+    queue = [int(i) for i in np.argsort(cfg.initial_order)]
+    first = np.full(cfg.n_items, np.inf)
+    last = np.full(cfg.n_items, np.nan)
+    pending = cfg.observe_times.tolist()[::-1]
+    boundary, snapshots = [], []
+
+    def observe_before(t):
+        while pending and pending[-1] < t:
+            pending.pop()
+            ranks = np.empty(cfg.n_items, dtype=np.int64)
+            ranks[queue] = np.arange(1, cfg.n_items + 1)
+            snapshots.append(ranks)
+            boundary.append(int(np.isfinite(first).sum()))
+
+    for t, item in zip(run.event_times.tolist(), run.event_items.tolist()):
+        observe_before(t)
+        queue.remove(item)
+        queue.insert(0, item)
+        first[item] = min(first[item], t)
+        last[item] = t
+    observe_before(math.inf)
+    return np.array(boundary), snapshots, first, last
+
+
+@pytest.mark.parametrize("chunk", [97, None])
+def test_bookkeeping_matches_move_to_front_replay(monkeypatch, chunk):
+    # few items, so every block repeats items many times; a small chunk puts
+    # many chunk boundaries between observations, and observations fall
+    # between events inside chunks
+    if chunk is not None:
+        monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    rates = np.concatenate((np.geomspace(0.02, 4.0, 13), [1e-9]))  # the last never sells
+    observe = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 800.0, 60)), [800.0]))
+    cfg = SimulationConfig(rates=rates, horizon=800.0, seed=3,
+                           initial_order=rng.permutation(rates.size) + 1,
+                           observe_times=observe, track_item=0, record_snapshots=True)
+    run = run_simulation(cfg)
+    assert run.total_events > 20 * (chunk or 1)
+    boundary, snapshots, first, last = _replay_move_to_front(run)
+    np.testing.assert_array_equal(run.boundary_counts, boundary)
+    for theta, ranks in zip(run.observe_times, snapshots):
+        np.testing.assert_array_equal(run.snapshot_at(theta), ranks)
+    np.testing.assert_array_equal(run.tracked_trajectory.ranks,
+                                  [float(r[0]) for r in snapshots])
+    np.testing.assert_array_equal(run.first_sale, first)
+    np.testing.assert_array_equal(run.last_sale, last)
+    assert boundary[0] == 0 and math.isinf(first[-1])
 
 
 @pytest.mark.parametrize("bad", [{"rates": np.array([1.0, math.inf])},
