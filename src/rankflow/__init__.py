@@ -9,10 +9,8 @@ observed ranking trajectories.
 from .dist import (
     SalesRateDistribution,
     discrete_rates,
-    gamma_recursion_shift,
     laplace_transform,
     load_rates_csv,
-    upper_incomplete_gamma,
 )
 from .fit import (
     FitOptions,
@@ -47,6 +45,7 @@ from .sim import (
     synthesize_noisy_trajectory,
     x_c_trajectory,
 )
+from .special import gamma_recursion_shift, upper_incomplete_gamma
 
 __version__ = "0.1.0"
 

@@ -205,7 +205,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import oracle  # imported here: scipy.integrate slows every other verb's start
+    try:  # imported here: scipy.integrate slows every other verb's start
+        from . import oracle
+    except ImportError as exc:
+        raise RuntimeError(f"the oracle verb needs scipy ({exc}); "
+                           "install the 'oracle' extra: pip install rankflow[oracle]") from exc
     if args.what == "gamma":
         v, e = oracle.gamma_quad(args.z, args.p)
         print(f"{_FMT.format(v)} +- {e:.3g}")

@@ -31,12 +31,7 @@ __all__ = [
     "discrete_rates",
     "load_rates_csv",
     "save_rates_csv",
-    "upper_incomplete_gamma",
-    "gamma_recursion_shift",
 ]
-
-# re-export: the incomplete gamma operations live with the distributions
-from .special import gamma_recursion_shift, upper_incomplete_gamma  # noqa: E402,F401
 
 # exclusion band around b = 1, where S_pot, the mean rate and the totals
 # carry a 1/(b-1) factor

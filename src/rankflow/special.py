@@ -7,9 +7,7 @@ directly:
 
 * a stable power series for |z| < 1 and small p,
 * a continued fraction for moderate and large p,
-* the integration-by-parts recursion to move z into the series range,
-* exponential integrals (scipy ``expn``/``exp1``, imported on first use) at
-  non-positive integer z, where the recursion would divide by zero.
+* the integration-by-parts recursion to move z into the series range.
 
 Scalar entry points validate the supported domain and run the series and a
 modified-Lentz (forward, adaptive) continued fraction to convergence. The
@@ -75,13 +73,7 @@ _LGAMMA_COEF = (
     5.183475041970047e-09, 2.4836745438024785e-09, 1.1921401405860912e-09,
     5.731367241678862e-10, 2.7595228851242334e-10)
 _ONE_MINUS_EULER = 0.42278433509846713
-
-
-def _expn(n: int, p):
-    """Exponential integral E_n(p), n >= 1. scipy.special is imported here on
-    first use: only integer orders need it, and its import costs about 0.3 s."""
-    from scipy.special import exp1, expn
-    return exp1(p) if n == 1 else expn(n, p)
+_EULER = 0.5772156649015329
 
 
 def _lgamma1p(z: float) -> float:
@@ -101,15 +93,25 @@ def _lgamma1p(z: float) -> float:
     return z * (z * s + _ONE_MINUS_EULER) - math.log1p(z)
 
 
-def _series_base(z: float, p: float) -> float:
-    """Gamma(z, p) for z in (-1, 1], z != 0, by the alternating power series.
+def _series_head(z: float, logp):
+    """Gamma(z) - p^z/z, the n = 0 part of the series, from ln p (a float or
+    an array).
 
-    Uses Gamma(z) - p^z/z = -Gamma(z+1) expm1(z log p - lgamma(z+1)) / z,
-    which stays finite as z -> 0, then subtracts the n >= 1 series terms.
-    Accurate for p below ~2; cancellation grows with p.
+    Written as -Gamma(1+z) expm1(z ln p - ln Gamma(1+z)) / z, which stays
+    accurate as z -> 0; at z = 0 it is the limit -euler - ln p.
+    """
+    if z == 0.0:
+        return -_EULER - logp
+    return -math.gamma(1.0 + z) * np.expm1(z * logp - _lgamma1p(z)) / z
+
+
+def _series_base(z: float, p: float) -> float:
+    """Gamma(z, p) for z in (-1, 1] by the alternating power series: the
+    head Gamma(z) - p^z/z minus the n >= 1 terms. Accurate for p below ~2;
+    cancellation grows with p.
     """
     logp = math.log(p)
-    head = -math.gamma(1.0 + z) * math.expm1(z * logp - _lgamma1p(z)) / z
+    head = float(_series_head(z, logp))
     # sum_{n>=1} (-p)^n / (n! (z+n)), scaled by p^z
     term = 1.0
     total = 0.0
@@ -151,17 +153,12 @@ def _cf_base(z: float, p: float) -> float:
 def _gamma_upper(z: float, p: float) -> float:
     """Unregularized Gamma(z, p) for z in about [-4, 5], p > 0.
 
-    Non-positive integer z is routed through the exponential integrals.
-    Accuracy degrades within ~1e-6 of negative non-integer poles of
-    Gamma(z), where every known representation cancels.
+    Accuracy degrades just above the negative integers, where the series
+    head Gamma(z) ~ 1/(z+n) cancels against its sum (7e-8 off at
+    z = -1 + 1e-7); the integers themselves are exact to a few ulps.
     """
     if p > UNDERFLOW_P:
         return 0.0
-    if z <= 0.0 and z == round(z):
-        n = int(-z)
-        if n == 0:
-            return float(_expn(1, p))
-        return p ** z * float(_expn(n + 1, p))
     if z > 1.0:
         # build upward from the series/CF range: Gamma(w+1,p) = p^w e^-p + w Gamma(w,p)
         k = math.ceil(z - 1.0)
@@ -174,9 +171,9 @@ def _gamma_upper(z: float, p: float) -> float:
         return _cf_base(z, p)
     if z > -1.0:
         return _series_base(z, p)
-    # lift z into (-1, 0) where the series applies:
+    # lift z into (-1, 0] where the series applies:
     # Gamma(z,p) = (Gamma(z+1,p) - p^z e^-p) / z
-    k = math.ceil(-z) - 1
+    k = math.floor(-z)
     g = _series_base(z + k, p)
     for j in range(k - 1, -1, -1):
         zj = z + j
@@ -193,19 +190,11 @@ def _gamma_upper_grid(z: float, p: np.ndarray) -> np.ndarray:
     convergence test (see _CF_TERMS_SCALE). Lanes with p < 1.5 sum the series
     by Horner's rule, with the count set by their largest p; lanes with
     p >= 1.5 evaluate the continued fraction backward (Numerical Recipes,
-    3rd ed., 5.2), with the count set by their smallest p. z = 0 and z = -1
-    are exponential integrals.
+    3rd ed., 5.2), with the count set by their smallest p.
     """
     p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape)
     live = p <= UNDERFLOW_P
-    if z == 0.0:
-        out[live] = _expn(1, p[live])
-        return out
-    if z == -1.0:
-        out[live] = p[live] ** z * _expn(2, p[live])
-        return out
-
     small = live & (p < _SERIES_CF_SPLIT)
     if np.any(small):
         ps = p[small]
@@ -226,8 +215,7 @@ def _gamma_upper_grid(z: float, p: np.ndarray) -> np.ndarray:
             total += 1.0 / (math.factorial(n) * (zs + n))
         total *= x
         logp = np.log(ps)
-        head = -math.gamma(1.0 + zs) * np.expm1(zs * logp - _lgamma1p(zs)) / zs
-        gs = head - np.exp(zs * logp) * total
+        gs = _series_head(zs, logp) - np.exp(zs * logp) * total
         if lift:
             gs = (gs - np.exp(z * logp - ps)) / z
         out[small] = gs

@@ -107,22 +107,6 @@ class TestFitCommand:
         result = FitResult.from_json(out.read_text())
         assert result.a_star == pytest.approx(LOW_A, rel=1e-4, abs=0.0)
 
-    def test_fit_process_loads_no_scipy(self, tmp_path):
-        d = SalesRateDistribution.pareto(LOW_A, LOW_B)
-        traj = synthesize_noisy_trajectory(d, 857000, np.linspace(10.0, 1900.0, 200),
-                                           200.0, seed=1)
-        traj.to_csv(tmp_path / "traj.csv")
-        driver = ("import sys\n"
-                  "from rankflow.cli import main\n"
-                  "code = main(sys.argv[1:])\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-                  "sys.exit(code)\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", driver, "fit", str(tmp_path / "traj.csv"),
-             "-o", str(tmp_path / "fit.json")], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         csv_path = low_trajectory_csv(tmp_path, sigma=0.0)
         fake = FitResult(1.0, 1.0, 0.5, 1.0, 1.0, False, 6)
@@ -411,6 +395,40 @@ class TestReportCommand:
         assert np.all(report.ratio > 1.0)
 
 
+# Runs main in a fresh interpreter and prints the scipy modules it loaded.
+NO_SCIPY_DRIVER = ("import sys\n"
+                   "from rankflow.cli import main\n"
+                   "code = main(sys.argv[1:])\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+                   "sys.exit(code)\n")
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize("verb", ["fit", "report", "simulate", "shares", "eval"])
+    def test_process_loads_no_scipy(self, tmp_path, verb):
+        # shares and eval run at b = 2, the order z = 1 - b = -1 of the kernel
+        if verb in ("fit", "report"):
+            d = SalesRateDistribution.pareto(LOW_A, LOW_B)
+            traj = synthesize_noisy_trajectory(d, 857000, np.linspace(10.0, 1900.0, 200),
+                                               200.0, seed=1)
+            traj.to_csv(tmp_path / "traj.csv")
+            argv = [verb, str(tmp_path / "traj.csv"), "-o", str(tmp_path / "out")]
+        elif verb == "simulate":
+            write_sim_config(tmp_path / "sim.cfg", n_items=50, horizon=100.0,
+                             observe_every=10.0, track_item=49)
+            argv = [verb, str(tmp_path / "sim.cfg"), "-o", str(tmp_path / "run")]
+        elif verb == "shares":
+            argv = [verb, "--a", "1", "--b", "2", "--gamma", "0.1",
+                    "--r-grid", "0.01:0.99:0.01", "-o", str(tmp_path / "shares.csv")]
+        else:
+            argv = [verb, "--a", "1", "--b", "2", "--n", "1000",
+                    "--times", "0,1e-6,0.5,1.5,30,1e5"]
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_DRIVER, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestOracleCommand:
     def test_gamma_identity(self, capsys):
         assert cli.main(["oracle", "gamma", "1", "2"]) == 0
@@ -430,6 +448,19 @@ class TestOracleCommand:
         assert cli.main(["oracle", "shares", "2.0", "1.5", "0", "1"]) == 0
         value = float(capsys.readouterr().out.split()[0])
         assert value == pytest.approx(6.0, rel=1e-8, abs=0.0)
+
+    def test_without_scipy_exits_one_naming_the_extra(self):
+        driver = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from rankflow.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", driver, "oracle", "gamma", "-0.5", "1"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rankflow: error:"), proc.stderr
+        assert "'oracle' extra" in lines[0]
 
 
 class TestArgumentHandling:

@@ -127,15 +127,16 @@ def test_vector_grid_negative_orders_match_scalar(z):
             assert g == 0.0
             continue
         if z == -1.0:
-            # the grid and the scalar both use p^-1 E_2(p) here, so check
-            # Gamma(-1, p) = p^-1 e^-p - E_1(p) instead
+            # one recursion step up, Gamma(-1, p) = p^-1 e^-p - Gamma(0, p): the
+            # grid's series lanes take that step too, but its continued
+            # fraction lanes run at z = -1 and the reference's at z = 0
             ref = math.exp(-p) / p - _gamma_upper(0.0, p)
         else:
             ref = _gamma_upper(z, p)  # scalar series / continued fraction
         assert g == pytest.approx(ref, rel=1e-12, abs=0.0), (z, p)
 
 
-@pytest.mark.parametrize("z", NEGATIVE_ORDERS + [0.12, 0.3688, 0.8, 1.0])
+@pytest.mark.parametrize("z", NEGATIVE_ORDERS + [0.0, 0.12, 0.3688, 0.8, 1.0])
 def test_vector_grid_matches_mpmath(z):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
@@ -147,7 +148,8 @@ def test_vector_grid_matches_mpmath(z):
 
 @pytest.mark.parametrize("z", [-2.7, -2.0, -1.6312, -1.2, 1.3688, 2.5])
 def test_scalar_recursions_match_mpmath(z):
-    # orders outside [-1, 1] reach the grid kernel through the recursions
+    # orders outside (-1, 1] reach the scalar series and continued fraction
+    # through the recursions; the integer -2 lifts onto the series at z = 0
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for p in GRID_PS[GRID_PS <= 700.0]:
@@ -190,7 +192,7 @@ MIXED_PS = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 12),
                            np.geomspace(1.5, 699.0, 12)])
 
 
-@pytest.mark.parametrize("z", [-0.99, -0.6312, -0.5, -0.2, 0.12, 0.3688, 0.8, 1.0])
+@pytest.mark.parametrize("z", [-1.0, -0.99, -0.6312, -0.5, -0.2, 0.0, 0.12, 0.3688, 0.8, 1.0])
 def test_grid_mixed_lanes_match_mpmath(z):
     # series lanes from 1e-8 to 1.4999 and continued-fraction lanes from
     # p_min = 1.5 to 699 in one call
@@ -211,3 +213,25 @@ def test_series_head_near_order_zero(z):
         want = ref(z, p)
         assert g == pytest.approx(want, rel=1e-13, abs=0.0), (z, p)
         assert _gamma_upper(z, p) == pytest.approx(want, rel=1e-13, abs=0.0), (z, p)
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0])
+def test_integer_orders_single_lane_match_mpmath(z):
+    # E_1(p) and p^-1 E_2(p), by the kernel's own series (with the z -> 0
+    # limit of its head) and continued fraction; one lane per call, so that
+    # each p sets both term counts
+    ref = _mpmath_gammainc()
+    for p in np.geomspace(1e-10, 699.0, 41):
+        got = _gamma_upper_grid(z, np.array([p]))[0]
+        assert got == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+        assert _gamma_upper(z, p) == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+
+
+@pytest.mark.parametrize("p", [10.0, 30.0, 100.0])
+@pytest.mark.parametrize("z", [-1.2, -0.2, 0.3688])
+def test_quadrature_oracle_matches_mpmath_at_large_p(z, p):
+    # quadrature over x itself was about 1e-5 off here, far past its estimate
+    ref = _mpmath_gammainc()
+    value, err = gamma_quad(z, p)
+    assert value == pytest.approx(ref(z, p), rel=1e-10, abs=0.0)
+    assert abs(value - ref(z, p)) <= err
