@@ -191,12 +191,13 @@ def _cmd_report(args) -> int:
     shares_path = f"{args.output_prefix}_shares.csv"
     _ensure_writable(fit_path, args.force)
     _ensure_writable(shares_path, args.force)
+    r_grid = _parse_grid(args.r_grid)
     traj = RankingTrajectory.from_csv(args.input)
     result = fit_pareto(traj, FitOptions(workers=args.workers))
+    report = build_share_report(_make_dist(result.a_star, result.b_star, 0.0), r_grid)
+    # written only now, so that a bad grid leaves no fit file behind
     with open(fit_path, "w") as fh:
         fh.write(result.to_json() + "\n")
-    dist = _make_dist(result.a_star, result.b_star, 0.0)
-    report = build_share_report(dist, _parse_grid(args.r_grid))
     report.to_csv(shares_path)
     print(f"report: b*={_FMT.format(result.b_star)} "
           f"({'converged' if result.converged else 'NOT converged'}); "

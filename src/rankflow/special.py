@@ -3,19 +3,15 @@ orders that the ranking limit curves require.
 
 Standard library routines cover only positive order, so this module
 implements the unregularized Gamma(z, p) = integral_p^inf exp(-x) x^(z-1) dx
-directly:
+directly, in one kernel, ``_gamma_upper_grid``, over an array of p:
 
-* a stable power series for |z| < 1 and small p,
-* a continued fraction for moderate and large p,
-* the integration-by-parts recursion to move z into the series range.
+* a power series, summed by Horner's rule, for p < 1.5 and z in [-1, 1],
+* a continued fraction, evaluated backward, for p >= 1.5.
 
-Scalar entry points validate the supported domain and run the series and a
-modified-Lentz (forward, adaptive) continued fraction to convergence. The
-``_grid`` variant is the vectorized inner loop of the curve evaluations and
-the share functionals. It runs a fixed number of terms per call, so no lane
-tests for convergence: a Horner sum of the series, and the same continued
-fraction evaluated backward. The two paths share only the series head, and
-the tests use the scalar one as the grid's reference.
+Each runs a term count fixed per call, so no lane tests for convergence. A
+scalar call is one lane of that kernel; below the split, the
+integration-by-parts recursion moves an order outside [-1, 1] into the
+series range and back. The tests check the kernel against 40-digit mpmath.
 """
 
 from __future__ import annotations
@@ -31,11 +27,6 @@ UNDERFLOW_P = 700.0
 
 # Switch between the power series and the continued fraction.
 _SERIES_CF_SPLIT = 1.5
-
-_EPS = 2.22e-16
-_FPMIN = 1e-300
-_MAX_CF_ITER = 10_000
-_MAX_SERIES_ITER = 500
 
 # The grid kernel's series stops at the smallest M with p^(M+1)/(M+1)! below
 # _SERIES_TAIL, for the largest p of the call. Below z = _SERIES_LIFT_Z it
@@ -94,8 +85,7 @@ def _lgamma1p(z: float) -> float:
 
 
 def _series_head(z: float, logp):
-    """Gamma(z) - p^z/z, the n = 0 part of the series, from ln p (a float or
-    an array).
+    """Gamma(z) - p^z/z, the n = 0 part of the series, from an array of ln p.
 
     Written as -Gamma(1+z) expm1(z ln p - ln Gamma(1+z)) / z, which stays
     accurate as z -> 0; at z = 0 it is the limit -euler - ln p.
@@ -105,79 +95,25 @@ def _series_head(z: float, logp):
     return -math.gamma(1.0 + z) * np.expm1(z * logp - _lgamma1p(z)) / z
 
 
-def _series_base(z: float, p: float) -> float:
-    """Gamma(z, p) for z in (-1, 1] by the alternating power series: the
-    head Gamma(z) - p^z/z minus the n >= 1 terms. Accurate for p below ~2;
-    cancellation grows with p.
-    """
-    logp = math.log(p)
-    head = float(_series_head(z, logp))
-    # sum_{n>=1} (-p)^n / (n! (z+n)), scaled by p^z
-    term = 1.0
-    total = 0.0
-    for n in range(1, _MAX_SERIES_ITER):
-        term *= -p / n
-        contrib = term / (z + n)
-        total += contrib
-        if abs(contrib) <= _EPS * max(abs(total), 1e-30):
-            return head - math.exp(z * logp) * total
-    raise RuntimeError("incomplete gamma series did not converge")
-
-
-def _cf_base(z: float, p: float) -> float:
-    """Gamma(z, p) by modified-Lentz continued fraction; needs p >= ~1."""
-    b = p + 1.0 - z
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_ITER):
-        an = -i * (i - z)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= _EPS:
-            expo = z * math.log(p) - p
-            if expo < -745.0:
-                return 0.0
-            return math.exp(expo) * h
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
-
-
 def _gamma_upper(z: float, p: float) -> float:
-    """Unregularized Gamma(z, p) for z in about [-4, 5], p > 0.
+    """Unregularized Gamma(z, p) for p > 0, as one lane of _gamma_upper_grid.
 
-    Accuracy degrades just above the negative integers, where the series
-    head Gamma(z) ~ 1/(z+n) cancels against its sum (7e-8 off at
-    z = -1 + 1e-7); the integers themselves are exact to a few ulps.
+    The continued fraction takes any order, and the series any z in
+    [-1, 1]. Below the split an order outside that range is shifted k steps
+    into it and brought back by Gamma(w+1, p) = w Gamma(w, p) + p^w e^-p,
+    upward for z > 1 and downward for z < -1.
     """
     if p > UNDERFLOW_P:
         return 0.0
-    if z > 1.0:
-        # build upward from the series/CF range: Gamma(w+1,p) = p^w e^-p + w Gamma(w,p)
-        k = math.ceil(z - 1.0)
-        g = _gamma_upper(z - k, p)
-        for j in range(k):
-            w = z - k + j
-            g = math.exp(w * math.log(p) - p) + w * g
-        return g
-    if p >= _SERIES_CF_SPLIT:
-        return _cf_base(z, p)
-    if z > -1.0:
-        return _series_base(z, p)
-    # lift z into (-1, 0] where the series applies:
-    # Gamma(z,p) = (Gamma(z+1,p) - p^z e^-p) / z
-    k = math.floor(-z)
-    g = _series_base(z + k, p)
-    for j in range(k - 1, -1, -1):
-        zj = z + j
-        g = (g - math.exp(zj * math.log(p) - p)) / zj
+    k = 0
+    if p < _SERIES_CF_SPLIT:
+        k = max(math.ceil(z - 1.0), 0) + min(math.floor(z + 1.0), 0)
+    g = float(_gamma_upper_grid(z - k, np.array([p]))[0])
+    logp = math.log(p)
+    for w in (z - k + j for j in range(k)):
+        g = w * g + math.exp(w * logp - p)
+    for w in (z - k - 1 - j for j in range(-k)):
+        g = (g - math.exp(w * logp - p)) / w
     return g
 
 

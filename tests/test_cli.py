@@ -394,6 +394,15 @@ class TestReportCommand:
         assert report.r.size == 9
         assert np.all(report.ratio > 1.0)
 
+    @pytest.mark.parametrize("grid", ["0:0.5:0.1", "bad", "0.5:1.2:0.1"])
+    def test_bad_grid_writes_nothing(self, tmp_path, capsys, grid):
+        # a rerun with a corrected grid must not trip over a stale fit file
+        csv_path = low_trajectory_csv(tmp_path, sigma=0.0)
+        prefix = tmp_path / "rep"
+        assert cli.main(["report", str(csv_path), "-o", str(prefix), "--r-grid", grid]) == 1
+        assert "rankflow: error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("rep_*")) == []
+
 
 # Runs main in a fresh interpreter and prints the scipy modules it loaded.
 NO_SCIPY_DRIVER = ("import sys\n"

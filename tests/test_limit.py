@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rankflow.dist import SalesRateDistribution, laplace_transform
 from rankflow.limit import (
     _pareto_y_grid,
+    _sales_flow,
     DivergenceError,
     SalesShareReport,
     build_share_report,
@@ -405,6 +406,27 @@ class TestPowerLawClosedForm:
             # L ~ b e^-q / q, so e^-q - P cancels by a factor of about q/b
             assert lt == pytest.approx(float(_mp_laplace(b, q)),
                                        rel=max(1e-12, 2e-14 * q / b), abs=0.0), (b, q)
+
+    @pytest.mark.parametrize("b", [0.3, 0.6312, 0.9, 1.2, 1.5, 1.999])
+    @pytest.mark.parametrize("g", [0.0, 1e-3, 0.1])
+    def test_sales_flow_matches_mpmath(self, b, g):
+        # b/t [(1 + g) P(a t) - g P(w_hi t)] with P(q) = q^b Gamma(1-b, q); at
+        # the smallest q the two cutoff terms cancel most
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a = 0.7
+        d = SalesRateDistribution.pareto_cutoff(a, b, g)
+        ts = np.geomspace(1e-8, 600.0, 41) / a
+        mb, mg = mpmath.mpf(b), mpmath.mpf(g)
+        w_hi = a * (1 + 1 / mg) ** (1 / mb) if g else 0
+
+        def p(q):
+            return q ** mb * mpmath.gammainc(1 - mb, q)
+
+        for t, got in zip(ts, _sales_flow(d, ts)):
+            mt = mpmath.mpf(float(t))
+            want = mb / mt * ((1 + mg) * p(a * mt) - (mg * p(w_hi * mt) if g else 0))
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), (b, g, t)
 
     def test_curve_is_exactly_one_past_gamma_underflow(self):
         with warnings.catch_warnings():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,14 @@ from rankflow.special import (
 # pytest.approx also accepts anything within abs=1e-12 unless told otherwise,
 # which passes every value below 1e-12 (p above about 30) unchecked; kernel
 # comparisons therefore pass abs=0.0.
+
+
+def mp_gammainc(z, p):
+    """Gamma(z, p) from 40-digit mpmath, rounded to a float: the kernel's
+    reference."""
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(z, p))
+
 
 # reference values from the independent quadrature / multiprecision route
 FROZEN = [
@@ -100,61 +109,35 @@ def test_domain_errors():
         gamma_recursion_shift(-2.0, 1.0)
 
 
-def test_vector_grid_matches_scalar():
-    ps = np.concatenate([10.0 ** np.linspace(-10, 2.8, 25), [750.0]])
-    for z in [0.0, 0.12, 0.3688, 0.8, 1.0]:
-        got = _gamma_upper_grid(z, ps)
-        for g, p in zip(got, ps):
-            if p > 700.0:
-                assert g == 0.0
-            elif z == 0.0:
-                ref, err = gamma_quad(1e-13, p)  # order-0 limit of the oracle
-                assert abs(g - ref) <= max(1e-7 * abs(ref), 5.0 * err + 1e-12)
-            else:
-                assert g == pytest.approx(upper_incomplete_gamma(z, p), rel=1e-11, abs=0.0)
-
-
 NEGATIVE_ORDERS = [-1.0, -0.95, -0.6312, -0.5, -0.2, -0.05]
 GRID_PS = np.concatenate([10.0 ** np.linspace(-10, 2.8, 25), [1.4999, 1.5, 750.0]])
 
 
-@pytest.mark.parametrize("z", NEGATIVE_ORDERS)
-def test_vector_grid_negative_orders_match_scalar(z):
-    # the cutoff share for b in (1, 2] needs Gamma(1 - b, .) on arrays
+@pytest.mark.parametrize("z", NEGATIVE_ORDERS + [0.0, 0.12, 0.3688, 0.8, 1.0])
+def test_vector_grid_matches_mpmath(z):
     got = _gamma_upper_grid(z, GRID_PS)
     for g, p in zip(got, GRID_PS):
         if p > 700.0:
-            assert g == 0.0
-            continue
-        if z == -1.0:
-            # one recursion step up, Gamma(-1, p) = p^-1 e^-p - Gamma(0, p): the
-            # grid's series lanes take that step too, but its continued
-            # fraction lanes run at z = -1 and the reference's at z = 0
-            ref = math.exp(-p) / p - _gamma_upper(0.0, p)
+            assert g == 0.0  # past UNDERFLOW_P
         else:
-            ref = _gamma_upper(z, p)  # scalar series / continued fraction
-        assert g == pytest.approx(ref, rel=1e-12, abs=0.0), (z, p)
-
-
-@pytest.mark.parametrize("z", NEGATIVE_ORDERS + [0.0, 0.12, 0.3688, 0.8, 1.0])
-def test_vector_grid_matches_mpmath(z):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    ps = GRID_PS[GRID_PS <= 700.0]
-    got = _gamma_upper_grid(z, ps)
-    for g, p in zip(got, ps):
-        assert g == pytest.approx(float(mpmath.gammainc(z, p)), rel=1e-12, abs=0.0), (z, p)
+            assert g == pytest.approx(mp_gammainc(z, p), rel=1e-12, abs=0.0), (z, p)
 
 
 @pytest.mark.parametrize("z", [-2.7, -2.0, -1.6312, -1.2, 1.3688, 2.5])
 def test_scalar_recursions_match_mpmath(z):
-    # orders outside (-1, 1] reach the scalar series and continued fraction
-    # through the recursions; the integer -2 lifts onto the series at z = 0
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
+    # below p = 1.5, orders outside [-1, 1] reach the kernel's series through
+    # the recursions; the integer -2 lifts onto the series at z = -1
     for p in GRID_PS[GRID_PS <= 700.0]:
-        assert _gamma_upper(z, p) == pytest.approx(float(mpmath.gammainc(z, p)),
-                                                   rel=1e-12, abs=0.0), (z, p)
+        assert _gamma_upper(z, p) == pytest.approx(mp_gammainc(z, p), rel=1e-12, abs=0.0), (z, p)
+
+
+@pytest.mark.parametrize("z", [-1 + 1e-7, -2 + 1e-7, -3 + 1e-7, -1 - 1e-7, -2 - 1e-7])
+def test_near_negative_integer_orders_match_mpmath(z):
+    # just above -n the series head Gamma(z) ~ 1/(z+n) cancels against the
+    # sum, so these orders must reach the series lifted onto z + 1
+    for p in np.geomspace(1e-6, 30.0, 31):
+        assert upper_incomplete_gamma(z, p) == pytest.approx(mp_gammainc(z, p),
+                                                             rel=1e-13, abs=0.0), (z, p)
 
 
 # The grid kernel runs a term count fixed per call: the series by the largest
@@ -163,29 +146,21 @@ def test_scalar_recursions_match_mpmath(z):
 SPLIT_ORDERS = [round(-0.95 + 0.05 * k, 2) for k in range(40)]  # (-1, 1], step 0.05
 
 
-def _mpmath_gammainc():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    return lambda z, p: float(mpmath.gammainc(z, p))
-
-
 @pytest.mark.parametrize("p", [1.5, 1.5001, 1.6, 2.0])
 def test_grid_continued_fraction_count_just_above_split(p):
     # The count buys full precision at the split: 4.4e-16 at p = 1.5 with
     # its 72 terms, but 1.6e-14 with three quarters of them, which a 1e-13
     # bound would not see. One lane per call, so that p sets the count.
-    ref = _mpmath_gammainc()
     for z in SPLIT_ORDERS:
         got = _gamma_upper_grid(z, np.array([p]))[0]
-        assert got == pytest.approx(ref(z, p), rel=4e-15, abs=0.0), (z, p)
+        assert got == pytest.approx(mp_gammainc(z, p), rel=4e-15, abs=0.0), (z, p)
 
 
 @pytest.mark.parametrize("p", [1.4, 1.49, 1.4999])
 def test_grid_series_count_just_below_split(p):
-    ref = _mpmath_gammainc()
     for z in SPLIT_ORDERS:
         got = _gamma_upper_grid(z, np.array([p]))[0]
-        assert got == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+        assert got == pytest.approx(mp_gammainc(z, p), rel=1e-13, abs=0.0), (z, p)
 
 
 MIXED_PS = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 12),
@@ -196,21 +171,19 @@ MIXED_PS = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 12),
 def test_grid_mixed_lanes_match_mpmath(z):
     # series lanes from 1e-8 to 1.4999 and continued-fraction lanes from
     # p_min = 1.5 to 699 in one call
-    ref = _mpmath_gammainc()
     got = _gamma_upper_grid(z, MIXED_PS)
     for g, p in zip(got, MIXED_PS):
-        assert g == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+        assert g == pytest.approx(mp_gammainc(z, p), rel=1e-13, abs=0.0), (z, p)
 
 
 @pytest.mark.parametrize("z", [s * m for m in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2) for s in (1, -1)])
 def test_series_head_near_order_zero(z):
     # lgamma(1 + z) sees the rounded 1 + z; the head used to be 2.6e-7 off
     # at |z| = 1e-8
-    ref = _mpmath_gammainc()
     ps = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 9), [2.0, 30.0]])
     got = _gamma_upper_grid(z, ps)
     for g, p in zip(got, ps):
-        want = ref(z, p)
+        want = mp_gammainc(z, p)
         assert g == pytest.approx(want, rel=1e-13, abs=0.0), (z, p)
         assert _gamma_upper(z, p) == pytest.approx(want, rel=1e-13, abs=0.0), (z, p)
 
@@ -220,18 +193,16 @@ def test_integer_orders_single_lane_match_mpmath(z):
     # E_1(p) and p^-1 E_2(p), by the kernel's own series (with the z -> 0
     # limit of its head) and continued fraction; one lane per call, so that
     # each p sets both term counts
-    ref = _mpmath_gammainc()
     for p in np.geomspace(1e-10, 699.0, 41):
         got = _gamma_upper_grid(z, np.array([p]))[0]
-        assert got == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
-        assert _gamma_upper(z, p) == pytest.approx(ref(z, p), rel=1e-13, abs=0.0), (z, p)
+        assert got == pytest.approx(mp_gammainc(z, p), rel=1e-13, abs=0.0), (z, p)
+        assert _gamma_upper(z, p) == pytest.approx(mp_gammainc(z, p), rel=1e-13, abs=0.0), (z, p)
 
 
 @pytest.mark.parametrize("p", [10.0, 30.0, 100.0])
 @pytest.mark.parametrize("z", [-1.2, -0.2, 0.3688])
 def test_quadrature_oracle_matches_mpmath_at_large_p(z, p):
     # quadrature over x itself was about 1e-5 off here, far past its estimate
-    ref = _mpmath_gammainc()
     value, err = gamma_quad(z, p)
-    assert value == pytest.approx(ref(z, p), rel=1e-10, abs=0.0)
-    assert abs(value - ref(z, p)) <= err
+    assert value == pytest.approx(mp_gammainc(z, p), rel=1e-10, abs=0.0)
+    assert abs(value - mp_gammainc(z, p)) <= err
