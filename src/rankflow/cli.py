@@ -56,12 +56,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(int(round(span)) + 1)
 
 
-def _make_dist(a: float, b: float, gamma: float) -> SalesRateDistribution:
-    if gamma != 0.0:  # NaN and negative values reach the cutoff law's checks
-        return SalesRateDistribution.pareto_cutoff(a, b, gamma)
-    return SalesRateDistribution.pareto(a, b)
-
-
 def _cmd_fit(args) -> int:
     _ensure_writable(args.output, args.force)
     traj = RankingTrajectory.from_csv(args.input)
@@ -79,7 +73,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_shares(args) -> int:
     _ensure_writable(args.output, args.force)
-    dist = _make_dist(args.a, args.b, args.gamma)
+    dist = SalesRateDistribution.pareto_cutoff(args.a, args.b, args.gamma)
     report = build_share_report(dist, _parse_grid(args.r_grid))
     report.to_csv(args.output)
     print(f"shares: wrote {len(report.r)} rows to {args.output}")
@@ -87,7 +81,7 @@ def _cmd_shares(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    dist = _make_dist(args.a, args.b, args.gamma)
+    dist = SalesRateDistribution.pareto_cutoff(args.a, args.b, args.gamma)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.times:
@@ -194,7 +188,8 @@ def _cmd_report(args) -> int:
     r_grid = _parse_grid(args.r_grid)
     traj = RankingTrajectory.from_csv(args.input)
     result = fit_pareto(traj, FitOptions(workers=args.workers))
-    report = build_share_report(_make_dist(result.a_star, result.b_star, 0.0), r_grid)
+    report = build_share_report(SalesRateDistribution.pareto(result.a_star, result.b_star),
+                                r_grid)
     # written only now, so that a bad grid leaves no fit file behind
     with open(fit_path, "w") as fh:
         fh.write(result.to_json() + "\n")

@@ -1,17 +1,18 @@
 """Sales-rate distributions and their Laplace transforms.
 
 A catalog of N items is summarized by the distribution of per-item sales
-rates w (sales per hour). Three families are supported:
+rates w (sales per hour). Two kinds are supported:
 
-* ``pareto``: survival (a/w)^b for w >= a,
-* ``pareto_cutoff``: the same power law truncated at the head so that the
-  mean rate stays finite for b < 1 (cutoff ratio gamma = n0/N),
+* ``pareto``: the power law with survival (a/w)^b for w >= a. With a cutoff
+  ratio gamma = n0/N > 0 its head is truncated so that the mean rate stays
+  finite for b < 1; gamma = 0 is the plain power law.
 * ``empirical``: a finite list of observed rates.
 
 The Laplace transform L(t) of the rate distribution is the central object:
-the limiting scaled ranking curve is 1 - L(t). For the power laws, L, the
+the limiting scaled ranking curve is 1 - L(t). For the power law, L, the
 curve, the sales flow and the band transforms all come from one closed form,
-P(q) = q^b Gamma(1-b, q) (see :func:`_pareto_p`), on both sides of b = 1.
+P(q) = q^b Gamma(1-b, q) (see :func:`_pareto_p`), on both sides of b = 1,
+taken at the ends of a rate band by :func:`_pareto_band`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class SalesRateDistribution:
 
     Build instances through :meth:`pareto`, :meth:`pareto_cutoff`, or
     :meth:`empirical`; the constructor validates the parameter ranges.
+    The power law is one kind, ``"pareto"``, whose cutoff ratio gamma is 0
+    when its head is not cut off.
     """
 
     kind: str
@@ -53,21 +56,18 @@ class SalesRateDistribution:
     rates: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind in ("pareto", "pareto_cutoff"):
+        if self.kind == "pareto":
             if self.a is None or not 0.0 < self.a < math.inf:
                 raise ValueError("minimum sales rate a must be positive and finite")
             if self.b is None or not 0.0 < self.b <= 2.0:
                 raise ValueError("exponent b must lie in (0, 2]")
             if abs(self.b - 1.0) < _B_GUARD:
                 raise ValueError(f"exponent b must stay outside 1 +/- {_B_GUARD}")
-            if self.kind == "pareto_cutoff":
-                if not 0.0 <= self.gamma < math.inf:
-                    raise ValueError("cutoff ratio gamma must be finite and non-negative")
-                if self.gamma > 0.0 and not self._cutoff_in_range():
-                    raise ValueError("cutoff rate a*(1 + 1/gamma)^(1/b) or the mean rate "
-                                     "exceeds the double range; raise gamma or b")
-            elif self.gamma != 0.0:
-                raise ValueError("plain pareto takes no cutoff parameter")
+            if not 0.0 <= self.gamma < math.inf:
+                raise ValueError("cutoff ratio gamma must be finite and non-negative")
+            if self.gamma > 0.0 and not self._cutoff_in_range():
+                raise ValueError("cutoff rate a*(1 + 1/gamma)^(1/b) or the mean rate "
+                                 "exceeds the double range; raise b, or move gamma towards 1")
         elif self.kind == "empirical":
             rates = np.asarray(self.rates, dtype=float)
             if rates.ndim != 1 or rates.size == 0:
@@ -81,11 +81,11 @@ class SalesRateDistribution:
 
     @classmethod
     def pareto(cls, a: float, b: float) -> "SalesRateDistribution":
-        return cls(kind="pareto", a=float(a), b=float(b))
+        return cls.pareto_cutoff(a, b, 0.0)
 
     @classmethod
     def pareto_cutoff(cls, a: float, b: float, gamma: float) -> "SalesRateDistribution":
-        return cls(kind="pareto_cutoff", a=float(a), b=float(b), gamma=float(gamma))
+        return cls(kind="pareto", a=float(a), b=float(b), gamma=float(gamma))
 
     @classmethod
     def empirical(cls, rates) -> "SalesRateDistribution":
@@ -98,35 +98,40 @@ class SalesRateDistribution:
         return int(self.rates.size)
 
     def support(self) -> tuple[float, float]:
-        """Smallest and largest rate carrying mass."""
-        if self.kind == "pareto":
-            return self.a, math.inf
-        if self.kind == "pareto_cutoff":
-            return self.a, self._cutoff_upper()
-        return float(self.rates.min()), float(self.rates.max())
-
-    def _cutoff_upper(self) -> float:
-        if self.gamma == 0.0:
-            return math.inf
-        return self.a * (1.0 + 1.0 / self.gamma) ** (1.0 / self.b)
+        """Smallest and largest rate carrying mass; the power law's largest
+        is the cutoff a (1 + 1/gamma)^(1/b), infinite at gamma = 0."""
+        if self.kind == "empirical":
+            return float(self.rates.min()), float(self.rates.max())
+        return self.a, (self.a * (1.0 + 1.0 / self.gamma) ** (1.0 / self.b)
+                        if self.gamma > 0.0 else math.inf)
 
     def _cutoff_in_range(self) -> bool:
         # log(a) + log1p(1/gamma)/b past ~709.78 overflows w_hi; a < 1 can
-        # still overflow the power, and b < 1 the mean rate's expm1
+        # still overflow the power, small gamma with b < 1 the mean rate's
+        # gamma^((b-1)/b), and large gamma its (1 + gamma)^(1/b)
         try:
-            return math.isfinite(self._cutoff_upper()) and math.isfinite(self.mean_rate())
+            return math.isfinite(self.support()[1]) and math.isfinite(self.mean_rate())
         except OverflowError:
             return False
 
     def mean_rate(self) -> float:
-        """Mean of w; infinite for plain pareto with b <= 1."""
+        """Mean of w; infinite for the power law with b < 1 and gamma = 0."""
         if self.kind == "empirical":
             return float(self.rates.mean())
+        return self._potential_flow(0.0, 1.0)
+
+    def _potential_flow(self, r1: float, r2: float) -> float:
+        """Power-law sales flow of the items ranked by true rate between
+        fractions r1 and r2: the integral over r of the rate
+        a ((1 + gamma)/(r + gamma))^(1/b). Infinite for the uncut head
+        (r1 = gamma = 0) when b < 1."""
         a, b, g = self.a, self.b, self.gamma
-        if g == 0.0:
-            return a * b / (b - 1.0) if b > 1.0 else math.inf
-        # (w_hi/a)^(1-b) - 1 with w_hi/a = (1 + 1/g)^(1/b); the power is near 1 near b = 1
-        return (a * b / (1.0 - b)) * (1.0 + g) * math.expm1((1.0 - b) / b * math.log1p(1.0 / g))
+        scale = a * b / (b - 1.0) * (1.0 + g) ** (1.0 / b)
+        e = (b - 1.0) / b
+        if r1 + g == 0.0:
+            return scale * r2 ** e if b > 1.0 else math.inf
+        # (r2 + g)^e - (r1 + g)^e, whose terms are both near 1 near b = 1
+        return scale * (r1 + g) ** e * math.expm1(e * math.log1p((r2 - r1) / (r1 + g)))
 
 
 def _pareto_p(b: float, q: np.ndarray) -> np.ndarray:
@@ -155,16 +160,29 @@ def _pareto_laplace(b: float, q: np.ndarray) -> np.ndarray:
     return np.exp(-q) - _pareto_p(b, q)
 
 
-def _pareto_mix(dist: SalesRateDistribution, f, t: np.ndarray) -> np.ndarray:
-    """A quantity linear in the rate density, given as f(b, q) for the
-    unit-scale law, for either power law: f(b, a t) without cutoff, and
-    (1 + gamma) f(b, a t) - gamma f(b, w_hi t) with it, since the truncated
-    head has mass (a/w_hi)^b = gamma/(1 + gamma)."""
-    out = f(dist.b, dist.a * t)
-    g = dist.gamma
-    if g == 0.0:
+def _pareto_band(dist: SalesRateDistribution, f, t: np.ndarray,
+                 w_lo: float = 0.0, w_hi: float = math.inf) -> np.ndarray:
+    """The part carried by rates in [w_lo, w_hi] of a quantity linear in the
+    power-law density, given as f(b, q) for the unit-scale law on q = a t.
+
+    Beyond a rate w of the support [a, w_cut], the law is (1 + gamma)(a/w)^b
+    times the unit-scale law with minimum rate w, less gamma times the one
+    with minimum rate w_cut. So the band is the tail difference
+    sum +-(1 + gamma)(a/w)^b f(b, w t) over its ends clamped to the support,
+    where the gamma terms cancel. The weight is exactly 1 + gamma at a, and
+    it is set to exactly gamma at the cutoff; an infinite end carries no tail.
+    """
+    a, w_cut = dist.support()
+    b, g = dist.b, dist.gamma
+    lo, hi = max(w_lo, a), min(w_hi, w_cut)
+    out = np.zeros(np.shape(t))
+    if lo >= hi:
         return out
-    return (1.0 + g) * out - g * f(dist.b, dist._cutoff_upper() * t)
+    for w, sign in ((lo, 1.0), (hi, -1.0)):
+        if w < math.inf:
+            weight = g if w == w_cut else (1.0 + g) * (a / w) ** b
+            out += sign * weight * f(b, w * t)
+    return out
 
 
 def laplace_transform(dist: SalesRateDistribution, t):
@@ -179,7 +197,7 @@ def laplace_transform(dist: SalesRateDistribution, t):
     if dist.kind == "empirical":
         out = np.exp(-np.multiply.outer(t, dist.rates)).mean(axis=-1)
     else:
-        out = np.clip(_pareto_mix(dist, _pareto_laplace, t), 0.0, 1.0)
+        out = np.clip(_pareto_band(dist, _pareto_laplace, t), 0.0, 1.0)
         out[t == 0.0] = 1.0  # the cutoff's two unit terms cancel only to an ulp
     if t_arr.ndim == 0:
         return float(out[0])
@@ -188,47 +206,19 @@ def laplace_transform(dist: SalesRateDistribution, t):
 
 def band_mass(dist: SalesRateDistribution, w_lo: float, w_hi: float) -> float:
     """Probability that a rate falls in [w_lo, w_hi]."""
-    if not 0.0 < w_lo <= w_hi:
-        raise ValueError("need 0 < w_lo <= w_hi")
-    if dist.kind == "empirical":
-        return float(np.mean((dist.rates >= w_lo) & (dist.rates <= w_hi)))
-
-    def survival(w: float) -> float:
-        if w <= dist.a:
-            return 1.0
-        s = (dist.a / w) ** dist.b
-        if dist.kind == "pareto_cutoff" and dist.gamma > 0.0:
-            s = (1.0 + dist.gamma) * s - dist.gamma
-        return min(max(s, 0.0), 1.0)
-
-    return survival(w_lo) - survival(w_hi)
+    return band_laplace(dist, w_lo, w_hi, 0.0)
 
 
 def band_laplace(dist: SalesRateDistribution, w_lo: float, w_hi: float, t: float) -> float:
     """integral of exp(-w t) over rates restricted to [w_lo, w_hi]."""
     if not 0.0 < w_lo <= w_hi:
         raise ValueError("need 0 < w_lo <= w_hi")
-    if t < 0.0:
-        raise ValueError("time t must be non-negative")
-    if t == 0.0:
-        return band_mass(dist, w_lo, w_hi)
+    if not t >= 0.0:
+        raise ValueError("time t must be non-negative (and not NaN)")
     if dist.kind == "empirical":
         sel = (dist.rates >= w_lo) & (dist.rates <= w_hi)
         return float(np.sum(np.exp(-dist.rates[sel] * t)) / dist.rates.size)
-
-    a, b = dist.a, dist.b
-    lo, hi = max(w_lo, a), w_hi
-    factor = 1.0
-    if dist.kind == "pareto_cutoff" and dist.gamma > 0.0:
-        hi = min(hi, dist._cutoff_upper())
-        factor = 1.0 + dist.gamma
-    if lo >= hi:
-        return 0.0
-    # the tail integral_w^inf exp(-x t) b a^b x^(-b-1) dx is (a/w)^b times the
-    # transform of the unit-scale law with minimum rate w, at w t
-    w = np.array([lo, hi])
-    tail = (a / w) ** b * _pareto_laplace(b, w * t)
-    return factor * float(tail[0] - tail[1])
+    return float(_pareto_band(dist, _pareto_laplace, np.array([float(t)]), w_lo, w_hi)[0])
 
 
 def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.ndarray:
@@ -239,9 +229,18 @@ def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.n
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("rate scale a and exponent b must be finite and positive")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("cutoff ratio gamma must be finite and non-negative")
     i = np.arange(1, n_items + 1, dtype=float)
     n0 = gamma * n_items
-    return a * ((n_items + n0) / (i + n0)) ** (1.0 / b)
+    with np.errstate(over="ignore"):  # reported below, without a numpy warning
+        rates = a * ((n_items + n0) / (i + n0)) ** (1.0 / b)
+    if not rates[0] < math.inf:
+        raise ValueError("top rate a ((N + n0)/(1 + n0))^(1/b) exceeds the double range; "
+                         "raise b")
+    return rates
 
 
 def _rate(text: str) -> float:

@@ -6,7 +6,7 @@ the sales-rate distribution. Inverting that curve converts an observed
 rank fraction back into elapsed time, which in turn prices how much of the
 total sales flow sits in any ranking band: the lucky low-rate items near
 the head and unlucky hits in the tail make the ranking-band share S_rank
-differ from the potential-ordered share S_pot. For the power laws the
+differ from the potential-ordered share S_pot. For the power law the
 curve, the fitter's fast path and the sales flow all come from one closed
 form, dist's P(q) = q^b Gamma(1-b, q), with no switch at b = 1.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import open_csv, read_columns, write_rows
-from .dist import (SalesRateDistribution, _pareto_mix, _pareto_p, band_laplace, band_mass,
+from .dist import (SalesRateDistribution, _pareto_band, _pareto_p, band_laplace, band_mass,
                    laplace_transform)
 from .special import _gamma_upper, _gamma_upper_grid  # noqa: F401 (perfbench hooks both)
 
@@ -71,13 +71,13 @@ def y_c_short_time(dist: SalesRateDistribution, t):
     The t^b rise is what makes observed trajectories start tangent to the
     ranking axis in the great-hits regime.
     """
-    if dist.kind not in ("pareto", "pareto_cutoff"):
+    if dist.kind != "pareto":
         raise ValueError("short-time form applies to power-law distributions")
     if dist.b >= 1.0:
         raise ValueError("short-time t^b form requires b < 1 (b > 1 rises linearly)")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("time t must be non-negative")
+    if not np.all(t_arr >= 0.0):
+        raise ValueError("time t must be non-negative (and not NaN)")
     out = (dist.a * t_arr) ** dist.b * math.gamma(1.0 - dist.b)
     return float(out) if t_arr.ndim == 0 else out
 
@@ -130,7 +130,7 @@ def q_of_r(dist: SalesRateDistribution, r: float) -> float:
     Returns exactly 0.0 at r = 0 and math.inf at r = 1 (the inverse
     diverges there); intermediate values come from :func:`invert_y_c`.
     """
-    if dist.kind not in ("pareto", "pareto_cutoff"):
+    if dist.kind != "pareto":
         raise ValueError("q(r) is defined for power-law distributions")
     r = float(r)
     if r < 0.0 or r > 1.0:
@@ -153,8 +153,8 @@ def sales_share_potential(dist: SalesRateDistribution, r1: float, r2: float) -> 
     """Per-item sales flow of the items ranked by true rate between
     fractions r1 and r2 of the catalog.
 
-    For the plain power law with b < 1 the head diverges, so r1 = 0 raises
-    :class:`DivergenceError`; the cutoff law keeps it finite.
+    For the power law with b < 1 and gamma = 0 the head diverges, so r1 = 0
+    raises :class:`DivergenceError`; a cutoff gamma > 0 keeps it finite.
     """
     r1, r2 = _check_band(r1, r2)
     if dist.kind == "empirical":
@@ -162,15 +162,10 @@ def sales_share_potential(dist: SalesRateDistribution, r1: float, r2: float) -> 
         n = w.size
         i1, i2 = round(r1 * n), round(r2 * n)
         return float(w[i1:i2].sum() / n)
-    a, b, g = dist.a, dist.b, dist.gamma
-    scale = a * b / (b - 1.0) * (1.0 + g) ** (1.0 / b)
-    e = (b - 1.0) / b
-    if r1 + g == 0.0:
-        if b < 1.0:
-            raise DivergenceError("head share is infinite for b < 1 without a cutoff")
-        return scale * r2 ** e
-    # (r2 + g)^e - (r1 + g)^e, whose terms are both near 1 near b = 1
-    return scale * (r1 + g) ** e * math.expm1(e * math.log1p((r2 - r1) / (r1 + g)))
+    flow = dist._potential_flow(r1, r2)
+    if math.isinf(flow):
+        raise DivergenceError("head share is infinite for b < 1 without a cutoff")
+    return flow
 
 
 def _sales_flow(dist: SalesRateDistribution, t) -> np.ndarray:
@@ -178,21 +173,18 @@ def _sales_flow(dist: SalesRateDistribution, t) -> np.ndarray:
     on an array of t in [0, inf].
 
     The ranking-band share is the flow difference between the band's end
-    times; the flow is the mean rate at t = 0 and vanishes at t = inf. For
-    power laws it is b P(a t) / t, from dL/dq = -b P(q)/q, with the cutoff
-    law's w_hi term.
+    times; the flow is the mean rate S_pot(0, 1) at t = 0 and vanishes at
+    t = inf. For the power law it is b P(a t) / t, from dL/dq = -b P(q)/q,
+    taken over the support by dist's band primitive.
     """
     t = np.asarray(t, dtype=float)
     if dist.kind == "empirical":
         return (dist.rates * np.exp(-np.multiply.outer(t, dist.rates))).mean(axis=-1)
     out = np.zeros(t.shape)
     if np.any(t == 0.0):
-        mean = dist.mean_rate()
-        if math.isinf(mean):
-            raise DivergenceError("ranking head share is infinite for b < 1")
-        out[t == 0.0] = mean
+        out[t == 0.0] = sales_share_potential(dist, 0.0, 1.0)
     pos = t > 0.0
-    out[pos] = dist.b * _pareto_mix(dist, _pareto_p, t[pos]) / t[pos]
+    out[pos] = dist.b * _pareto_band(dist, _pareto_p, t[pos]) / t[pos]
     return out
 
 
@@ -212,20 +204,25 @@ def sales_share_ranking(dist: SalesRateDistribution, r1: float, r2: float) -> fl
     return float(flow[0] - flow[1])
 
 
+def _check_joint(dist: SalesRateDistribution, y: float, w_lo: float,
+                 w_hi: float) -> tuple[float, bool]:
+    """Validated rank fraction y, and whether [w_lo, w_hi] covers the support."""
+    y = float(y)
+    if not 0.0 <= y < 1.0:
+        raise ValueError("y must lie in [0, 1)")
+    if not 0.0 < w_lo <= w_hi:
+        raise ValueError("need 0 < w_lo <= w_hi")
+    lo_s, hi_s = dist.support()
+    return y, w_lo <= lo_s and w_hi >= hi_s
+
+
 def stationary_joint_cdf(dist: SalesRateDistribution, y: float,
                          w_lo: float, w_hi: float) -> float:
     """Fraction of items with rate in [w_lo, w_hi] and scaled rank in [0, y],
     long after launch (rank fraction y must already have been swept).
     """
-    y = float(y)
-    if y < 0.0 or y >= 1.0:
-        raise ValueError("y must lie in [0, 1)")
-    if not 0.0 < w_lo <= w_hi:
-        raise ValueError("need 0 < w_lo <= w_hi")
-    if y == 0.0:
-        return 0.0
-    lo_s, hi_s = dist.support()
-    if w_lo <= lo_s and w_hi >= hi_s:
+    y, full = _check_joint(dist, y, w_lo, w_hi)
+    if y == 0.0 or full:
         return y  # rank marginal is uniform, whatever the rate law
     t0 = invert_y_c(dist, y)
     return band_mass(dist, w_lo, w_hi) - band_laplace(dist, w_lo, w_hi, t0)
@@ -240,20 +237,15 @@ def nonstationary_joint_cdf(dist: SalesRateDistribution, y: float,
     Valid only for y > y_c(t); below the boundary use
     :func:`stationary_joint_cdf`.
     """
-    y = float(y)
-    if y < 0.0 or y >= 1.0:
-        raise ValueError("y must lie in [0, 1)")
-    if not 0.0 < w_lo <= w_hi:
-        raise ValueError("need 0 < w_lo <= w_hi")
-    if t < 0.0:
-        raise ValueError("time t must be non-negative")
+    y, full = _check_joint(dist, y, w_lo, w_hi)
+    if not t >= 0.0:
+        raise ValueError("time t must be non-negative (and not NaN)")
     lt = laplace_transform(dist, t)
     if y <= 1.0 - lt:
         raise ValueError("y is below the swept boundary; use the stationary branch")
-    y_hat = 1.0 - (1.0 - y) / lt
-    lo_s, hi_s = dist.support()
-    if w_lo <= lo_s and w_hi >= hi_s:
+    if full:
         return y
+    y_hat = 1.0 - (1.0 - y) / lt
     mass = band_mass(dist, w_lo, w_hi)
     bl = band_laplace(dist, w_lo, w_hi, t)
     return (mass - bl) + bl * y_hat
@@ -291,7 +283,7 @@ def build_share_report(dist: SalesRateDistribution, r_grid) -> SalesShareReport:
     r_grid = np.asarray(r_grid, dtype=float)
     if not np.all((r_grid > 0.0) & (r_grid < 1.0)):
         raise ValueError("report grid must lie strictly inside (0, 1)")
-    if dist.kind not in ("pareto", "pareto_cutoff"):
+    if dist.kind != "pareto":
         raise ValueError("q(r) is defined for power-law distributions")
     t = invert_y_c(dist, r_grid)
     s_pot = np.array([sales_share_potential(dist, r, 1.0) for r in r_grid])

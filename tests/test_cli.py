@@ -346,6 +346,21 @@ class TestSimulateCommand:
         assert "finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad", [dict(b=0), dict(b=-1.0), dict(b="nan"), dict(b="inf"),
+                                     dict(a=0), dict(a="nan"), dict(gamma=-0.5),
+                                     dict(gamma="nan"), dict(gamma="inf"), dict(b=1e-3)])
+    def test_bad_rate_law_is_a_one_line_error(self, tmp_path, capsys, bad):
+        # b = 0 died in a ZeroDivisionError; gamma < 0, and b = 1e-3 with its
+        # top rate 10^1000 a, printed a numpy RuntimeWarning before the run failed
+        config = tmp_path / "bad.cfg"
+        write_sim_config(config, n_items=10, horizon=1.0, observe_every=1.0, track_item=0,
+                         **bad)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("rankflow: error:") and err.count("\n") == 1
+        assert not (tmp_path / "x_events.csv").exists()
+
+
 class TestCsvWriters:
     """Block-formatted files are byte-identical to csv.writer output."""
 

@@ -73,6 +73,9 @@ def test_laplace_rejects_negative_time():
     for bad in (math.nan, np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
             laplace_transform(d, bad)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            band_laplace(d, 1.0, 2.0, bad)
 
 
 @pytest.mark.parametrize("dist", [SalesRateDistribution.pareto(1.0, 0.5),
@@ -169,6 +172,7 @@ def test_cutoff_matches_quadrature():
 def test_band_helpers_match_quadrature():
     from scipy.integrate import quad
     d = SalesRateDistribution.pareto(1.0, 1.5)
+    assert d == SalesRateDistribution.pareto_cutoff(1.0, 1.5, 0.0)
     ref_mass, _ = quad(lambda w: 1.5 * w ** -2.5, 1.0, 2.0)
     assert band_mass(d, 1.0, 2.0) == pytest.approx(ref_mass, rel=1e-12, abs=0.0)
     ref_bl, _ = quad(lambda w: math.exp(-0.7 * w) * 1.5 * w ** -2.5, 1.0, 2.0)
@@ -176,6 +180,22 @@ def test_band_helpers_match_quadrature():
     # full band reduces to the plain transform
     assert band_laplace(d, 1e-12, math.inf, 0.7) == pytest.approx(
         laplace_transform(d, 0.7), rel=1e-10, abs=0.0)
+    # the band's ends are clamped to the support [a, w_cut]: bands that start
+    # below a, end past the cutoff (near 4.9 at gamma = 0.1, 100 at 1e-3), or both
+    for g in (0.0, 0.1, 1e-3):
+        dc = SalesRateDistribution.pareto_cutoff(1.0, 1.5, g)
+        w_cut = dc.support()[1]
+        for lo, hi in [(0.5, 2.0), (2.0, 1e4), (0.5, math.inf), (1.2, 1.3)]:
+            assert band_mass(dc, lo, hi) == band_laplace(dc, lo, hi, 0.0)
+            for t in (0.0, 0.7, 5.0):
+                ref, _ = quad(lambda w: math.exp(-t * w) * (1.0 + g) * 1.5 * w ** -2.5,
+                              max(lo, 1.0), min(hi, w_cut), epsabs=0.0, epsrel=1e-13,
+                              limit=200)
+                assert band_laplace(dc, lo, hi, t) == pytest.approx(ref, rel=1e-10, abs=0.0), \
+                    (g, lo, hi, t)
+        assert band_mass(dc, 0.5, math.inf) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert band_laplace(dc, 0.5, math.inf, 0.7) == pytest.approx(
+            laplace_transform(dc, 0.7), rel=1e-14, abs=0.0)
 
 
 def test_rates_csv_round_trip(tmp_path):

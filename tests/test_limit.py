@@ -60,6 +60,8 @@ class TestCurve:
         for bad in (math.nan, np.array([1.0, math.nan])):
             with pytest.raises(ValueError):
                 y_c(low2(), bad)
+            with pytest.raises(ValueError, match="non-negative"):
+                y_c_short_time(low2(), bad)
 
     def test_unit_scaling(self):
         d = SalesRateDistribution.empirical([0.5, 2.0])
@@ -244,6 +246,15 @@ class TestJointMeasure:
             stationary_joint_cdf(d, 1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             stationary_joint_cdf(d, 0.5, 0.0, 2.0)
+        # NaN reached the full-support shortcut of both joint CDFs, which
+        # share the check of (y, w_lo, w_hi), and came back as the answer
+        for bad in [(math.nan, 1.0, math.inf), (0.5, math.nan, 2.0), (0.5, 1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                stationary_joint_cdf(d, *bad)
+            with pytest.raises(ValueError):
+                nonstationary_joint_cdf(d, *bad, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            nonstationary_joint_cdf(d, 0.9, 1.0, 2.0, math.nan)
 
     def test_nonstationary_mass_conservation(self):
         d = SalesRateDistribution.pareto(1.0, 1.5)
@@ -457,6 +468,56 @@ class TestPowerLawClosedForm:
                 float(s_pot(r1, r2)), rel=1e-13, abs=0.0), (r1, r2)
         if g > 0.0 or b > 1.0:
             assert d.mean_rate() == pytest.approx(float(s_pot(0.0, 1.0)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("b", [0.05, 0.3, 0.6312, 0.999, 1.0 - 2e-6, 1.0 + 2e-6,
+                                   1.2, 1.5, 1.999, 2.0])
+    def test_mean_rate_matches_mpmath(self, b):
+        # the mean rate is S_pot(0, 1); at b = 0.05, gamma = 1e-8 it is about
+        # 1e152 from a ratio of two such powers
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a, mb = 0.7, mpmath.mpf(b)
+        e = (mb - 1) / mb
+        for g in [1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0]:
+            mg = mpmath.mpf(g)
+            want = a * (1 + mg) ** (1 / mb) * ((1 + mg) ** e - mg ** e) / e
+            got = SalesRateDistribution.pareto_cutoff(a, b, g).mean_rate()
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0.0), g
+
+    @pytest.mark.parametrize("b", [0.3, 0.6312, 0.999, 1.2, 1.999])
+    @pytest.mark.parametrize("g", [0.0, 0.1])
+    def test_ranking_share_matches_mpmath(self, b, g):
+        # S_rank(r1, r2) is the flow difference between the times at which the
+        # curve reaches r1 and r2; the reference times are 40-digit roots of
+        # 1 - L(t) = r, started at invert_y_c's
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a = 0.7
+        d = SalesRateDistribution.pareto_cutoff(a, b, g)
+        mb, mg = mpmath.mpf(b), mpmath.mpf(g)
+        ends = [a] + ([a * (1 + 1 / mg) ** (1 / mb)] if g else [])
+
+        def tail(f, t):  # (1 + g) f(a t) - g f(w_cut t)
+            return sum(wt * f(w * t) for wt, w in zip([1 + mg, -mg], ends))
+
+        def p(q):
+            return q ** mb * mpmath.gammainc(1 - mb, q)
+
+        def flow_at(r):
+            if r == 1.0:
+                return mpmath.mpf(0)
+            t = mpmath.findroot(lambda t: 1 - tail(lambda q: mpmath.exp(-q) - p(q), t) - r,
+                                mpmath.mpf(float(invert_y_c(d, r))))
+            return mb / t * tail(p, t)
+
+        r = np.linspace(0.01, 0.99, 9)
+        rows = build_share_report(d, r).s_ranking
+        for x, got in zip(r, rows):
+            assert got == pytest.approx(float(flow_at(x)), rel=1e-12, abs=0.0), x
+        for r1, r2 in [(0.1, 0.5), (0.3, 0.31), (0.5, 0.9)]:
+            want = flow_at(r1) - flow_at(r2)
+            assert sales_share_ranking(d, r1, r2) == pytest.approx(
+                float(want), rel=1e-12, abs=0.0), (r1, r2)
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(1e-4, 1e2), log_d=st.floats(-5.0, 0.0), side=st.sampled_from([-1.0, 1.0]),
