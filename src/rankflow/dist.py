@@ -107,8 +107,8 @@ class SalesRateDistribution:
 
     def _cutoff_in_range(self) -> bool:
         # log(a) + log1p(1/gamma)/b past ~709.78 overflows w_hi; a < 1 can
-        # still overflow the power, small gamma with b < 1 the mean rate's
-        # gamma^((b-1)/b), and large gamma its (1 + gamma)^(1/b)
+        # still overflow the power, and small gamma with b < 1 the mean
+        # rate's (gamma/(1 + gamma))^((b-1)/b)
         try:
             return math.isfinite(self.support()[1]) and math.isfinite(self.mean_rate())
         except OverflowError:
@@ -126,12 +126,16 @@ class SalesRateDistribution:
         a ((1 + gamma)/(r + gamma))^(1/b). Infinite for the uncut head
         (r1 = gamma = 0) when b < 1."""
         a, b, g = self.a, self.b, self.gamma
-        scale = a * b / (b - 1.0) * (1.0 + g) ** (1.0 / b)
+        scale = a * b / (b - 1.0)
         e = (b - 1.0) / b
         if r1 + g == 0.0:
             return scale * r2 ** e if b > 1.0 else math.inf
-        # (r2 + g)^e - (r1 + g)^e, whose terms are both near 1 near b = 1
-        return scale * (r1 + g) ** e * math.expm1(e * math.log1p((r2 - r1) / (r1 + g)))
+        # (1 + g)^(1/b) ((r2 + g)^e - (r1 + g)^e), with (1 + g)^(1/b) folded
+        # into one power of a ratio <= 1 so that large gamma with small b
+        # cannot overflow it alone, and an expm1 for the difference, whose
+        # terms are both near 1 near b = 1
+        return (scale * (1.0 + g) * ((r1 + g) / (1.0 + g)) ** e
+                * math.expm1(e * math.log1p((r2 - r1) / (r1 + g))))
 
 
 def _pareto_p(b: float, q: np.ndarray) -> np.ndarray:

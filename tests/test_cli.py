@@ -140,6 +140,16 @@ class TestSharesCommand:
         head = (s_tot - report.s_potential[0]) / s_tot
         assert head == pytest.approx(math.sqrt(0.2), abs=1e-9)
 
+    def test_large_cutoff_ratio_with_small_b(self, tmp_path):
+        # rates span only [1, 1.01], so both shares are about the mean rate
+        # times the tail fraction 1 - r
+        out = tmp_path / "shares.csv"
+        assert cli.main(["shares", "--a", "1", "--b", "0.01", "--gamma", "1e4",
+                         "--r-grid", "0.1:0.9:0.1", "-o", str(out)]) == 0
+        report = SalesShareReport.from_csv(out)
+        assert report.s_potential == pytest.approx(1.005 * (1.0 - report.r), rel=1e-2)
+        assert report.ratio == pytest.approx(1.0, rel=1e-2)
+
     def test_bad_parameters(self, tmp_path, capsys):
         assert cli.main(["shares", "--a", "-1", "--b", "1.2",
                          "-o", str(tmp_path / "s.csv")]) == 1
@@ -182,6 +192,16 @@ class TestEvalCommand:
         assert out == ""
         assert err.startswith("rankflow: error:") and "double range" in err
         assert err.count("\n") == 1
+
+    def test_large_cutoff_ratio_with_small_b_prints_the_curve(self, capsys):
+        # the cutoff a (1 + 1/gamma)^(1/b) and the mean rate are near a, though
+        # (1 + gamma)^(1/b) alone is past the double range
+        assert cli.main(["eval", "--a", "1", "--b", "0.01", "--gamma", "1e4",
+                         "--n", "1000", "--times", "0,0.5,1,4,30"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "t_hours,y_c,x_c", "0,0,0", "0.5,0.394988089564,394.988089564",
+            "1,0.633959818059,633.959818059", "4,0.98204700209,982.04700209",
+            "30,1,1000"]
 
     def test_grid_mode(self, capsys):
         assert cli.main(["eval", "--a", "1.0", "--b", "1.5", "--n", "100",
