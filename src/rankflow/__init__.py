@@ -6,82 +6,39 @@ closed form, and fit hidden power-law sales-rate parameters (N, a, b) to
 observed ranking trajectories.
 """
 
-from .dist import (
-    SalesRateDistribution,
-    discrete_rates,
-    laplace_transform,
-    load_rates_csv,
-)
-from .fit import (
-    FitOptions,
-    FitResult,
-    RankingTrajectory,
-    Regime,
-    chi2,
-    classify_regime,
-    fit_pareto,
-)
-from .limit import (
-    DivergenceError,
-    SalesShareReport,
-    build_share_report,
-    invert_y_c,
-    nonstationary_joint_cdf,
-    q_of_r,
-    sales_share_potential,
-    sales_share_ranking,
-    stationary_joint_cdf,
-    x_c,
-    y_c,
-    y_c_short_time,
-)
-from .sim import (
-    CapacityError,
-    MissingSnapshotError,
-    SimulationConfig,
-    SimulationRun,
-    empirical_joint_measure,
-    run_simulation,
-    synthesize_noisy_trajectory,
-    x_c_trajectory,
-)
-from .special import gamma_recursion_shift, upper_incomplete_gamma
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SalesRateDistribution",
-    "discrete_rates",
-    "gamma_recursion_shift",
-    "laplace_transform",
-    "load_rates_csv",
-    "upper_incomplete_gamma",
-    "FitOptions",
-    "FitResult",
-    "RankingTrajectory",
-    "Regime",
-    "chi2",
-    "classify_regime",
-    "fit_pareto",
-    "DivergenceError",
-    "SalesShareReport",
-    "build_share_report",
-    "invert_y_c",
-    "nonstationary_joint_cdf",
-    "q_of_r",
-    "sales_share_potential",
-    "sales_share_ranking",
-    "stationary_joint_cdf",
-    "x_c",
-    "y_c",
-    "y_c_short_time",
-    "CapacityError",
-    "MissingSnapshotError",
-    "SimulationConfig",
-    "SimulationRun",
-    "empirical_joint_measure",
-    "run_simulation",
-    "synthesize_noisy_trajectory",
-    "x_c_trajectory",
-    "__version__",
-]
+# the public names of each module, imported on first use (PEP 562), so that
+# `import rankflow` loads no numpy and `rankflow.cli` can set numpy's
+# environment before it does
+_PUBLIC = {
+    "dist": ["SalesRateDistribution", "discrete_rates", "laplace_transform",
+             "load_rates_csv"],
+    "special": ["gamma_recursion_shift", "upper_incomplete_gamma"],
+    "fit": ["FitOptions", "FitResult", "RankingTrajectory", "Regime", "chi2",
+            "classify_regime", "fit_pareto"],
+    "limit": ["DivergenceError", "SalesShareReport", "build_share_report", "invert_y_c",
+              "nonstationary_joint_cdf", "q_of_r", "sales_share_potential",
+              "sales_share_ranking", "stationary_joint_cdf", "x_c", "y_c",
+              "y_c_short_time"],
+    "sim": ["CapacityError", "MissingSnapshotError", "SimulationConfig", "SimulationRun",
+            "empirical_joint_measure", "run_simulation", "synthesize_noisy_trajectory",
+            "x_c_trajectory"],
+}
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,13 +14,18 @@ import math
 import os
 import sys
 
-import numpy as np
+# set before numpy loads OpenBLAS: its default thread pool costs start-up
+# time, and rankflow's only BLAS calls are small dot products. A value the
+# user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from ._csvio import open_csv, write_rows
-from .dist import SalesRateDistribution, discrete_rates
-from .fit import FitOptions, RankingTrajectory, fit_pareto
-from .limit import build_share_report, y_c
-from .sim import SimulationConfig, run_simulation
+import numpy as np  # noqa: E402
+
+from ._csvio import open_csv, write_rows  # noqa: E402
+from .dist import SalesRateDistribution, discrete_rates  # noqa: E402
+from .fit import FitOptions, RankingTrajectory, fit_pareto  # noqa: E402
+from .limit import build_share_report, y_c  # noqa: E402
+from .sim import SimulationConfig, run_simulation  # noqa: E402
 
 _TIME_UNIT_HOURS = {"hour": 1.0, "day": 24.0, "month": 720.0}
 
@@ -163,19 +168,24 @@ def _cmd_simulate(args) -> int:
                   for k in range(cfg.observe_times.size if cfg.record_snapshots else 0)]
     for path in (events_path, traj_path, *snap_paths):
         _ensure_writable(path, args.force)  # before the run, so nothing is half written
+    unwritten, written = iter(snap_paths), []
+
+    def write_snapshot(theta, ranks):  # each ranking goes to its file when taken
+        with open_csv(next(unwritten), ["item", "w", "rank"]) as sfh:
+            written.append(sfh.name)
+            write_rows(sfh, "%d,%.12g,%d", range(cfg.n_items), cfg.rates, ranks)
+
     fh = open_csv(events_path, ["t", "item"])
     try:
         with fh:
-            run = run_simulation(cfg, sink=lambda t, i: write_rows(fh, "%.12g,%d", t, i))
+            run = run_simulation(cfg, sink=lambda t, i: write_rows(fh, "%.12g,%d", t, i),
+                                 snapshot_sink=write_snapshot)
     except BaseException:
-        os.remove(events_path)  # a failed run leaves no partial event log
+        for path in (events_path, *written):
+            os.remove(path)  # a failed run leaves no partial event log or snapshot
         raise
     if run.tracked_trajectory is not None:
         run.tracked_trajectory.to_csv(traj_path)
-    for path, theta in zip(snap_paths, run.observe_times):
-        with open_csv(path, ["item", "w", "rank"]) as fh:
-            write_rows(fh, "%d,%.12g,%d", range(cfg.n_items), cfg.rates,
-                       run.snapshot_at(theta))
     print(f"simulate: {run.total_events} events, wrote {events_path}")
     return 0
 

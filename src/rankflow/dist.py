@@ -111,7 +111,7 @@ class SalesRateDistribution:
         # rate's (gamma/(1 + gamma))^((b-1)/b)
         try:
             return math.isfinite(self.support()[1]) and math.isfinite(self.mean_rate())
-        except OverflowError:
+        except (OverflowError, ValueError):
             return False
 
     def mean_rate(self) -> float:
@@ -134,8 +134,12 @@ class SalesRateDistribution:
         # into one power of a ratio <= 1 so that large gamma with small b
         # cannot overflow it alone, and an expm1 for the difference, whose
         # terms are both near 1 near b = 1
-        return (scale * (1.0 + g) * ((r1 + g) / (1.0 + g)) ** e
-                * math.expm1(e * math.log1p((r2 - r1) / (r1 + g))))
+        try:
+            return (scale * (1.0 + g) * ((r1 + g) / (1.0 + g)) ** e
+                    * math.expm1(e * math.log1p((r2 - r1) / (r1 + g))))
+        except OverflowError:
+            raise ValueError(f"the sales flow of band [{r1:g}, {r2:g}] exceeds the double "
+                             f"range at b = {b:g}; raise r1 or b") from None
 
 
 def _pareto_p(b: float, q: np.ndarray) -> np.ndarray:
@@ -237,10 +241,13 @@ def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.n
         raise ValueError("rate scale a and exponent b must be finite and positive")
     if not 0.0 <= gamma < math.inf:
         raise ValueError("cutoff ratio gamma must be finite and non-negative")
-    i = np.arange(1, n_items + 1, dtype=float)
     n0 = gamma * n_items
+    rates = np.arange(1, n_items + 1, dtype=float)  # i, then w_i in place
+    rates += n0
+    np.divide(n_items + n0, rates, out=rates)
     with np.errstate(over="ignore"):  # reported below, without a numpy warning
-        rates = a * ((n_items + n0) / (i + n0)) ** (1.0 / b)
+        rates **= 1.0 / b
+        rates *= a
     if not rates[0] < math.inf:
         raise ValueError("top rate a ((N + n0)/(1 + n0))^(1/b) exceeds the double range; "
                          "raise b")

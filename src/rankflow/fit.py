@@ -16,7 +16,6 @@ import enum
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -313,6 +312,8 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter) for x0 in starts]
     workers = _resolve_workers(opts.workers)
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs start-up time
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_descend, jobs))
     else:

@@ -112,7 +112,7 @@ class SimulationRun:
     event_items: np.ndarray | None
     observe_times: np.ndarray
     boundary_counts: np.ndarray       # ever-sold count at each observe time
-    snapshots: dict[float, np.ndarray]
+    snapshots: dict[float, np.ndarray]  # empty when a snapshot_sink took them
     tracked_trajectory: RankingTrajectory | None
     generator: str = _GENERATOR_NAME
 
@@ -141,18 +141,24 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     excesses (E strictly increasing), every hand-over is one searchsorted.
     """
     n = weights.size
-    scaled = weights * (n / weights.sum())
-    accept = np.minimum(scaled, 1.0)
+    accept = weights * (n / weights.sum())  # the scaled weights, clipped to 1 below
     alias = np.arange(n, dtype=np.int64)
-    small, large = np.flatnonzero(scaled < 1.0), np.flatnonzero(scaled > 1.0)
-    d_cum = np.cumsum(1.0 - scaled[small])
-    e_cum = np.cumsum(scaled[large] - 1.0)
-    # small i borrows from the first large k with E_k > D_{i-1}. k never
-    # decreases; rounding can leave a tail past the last large item, and
-    # those keep themselves as alias (mass 1, off by rounding only)
-    k = np.searchsorted(e_cum, np.concatenate(([0.0], d_cum))[:-1], side="right")
+    small, large = np.flatnonzero(accept < 1.0), np.flatnonzero(accept > 1.0)
+    d_cum = np.subtract(1.0, accept[small])
+    np.cumsum(d_cum, out=d_cum)
+    e_cum = accept[large]
+    e_cum -= 1.0
+    np.cumsum(e_cum, out=e_cum)
+    np.minimum(accept, 1.0, out=accept)
+    # small i + 1 borrows from the first large k with E_k > D_i, and small 0
+    # from large 0. k never decreases; rounding can leave a tail past the last
+    # large item, and those keep themselves as alias (mass 1, off by rounding
+    # only)
+    k = np.searchsorted(e_cum, d_cum[:-1], side="right")
     lent = int(np.searchsorted(k, large.size))
-    alias[small[:lent]] = large[k[:lent]]
+    alias[small[1:lent + 1]] = large[k[:lent]]
+    if large.size:
+        alias[small[:1]] = large[0]
     # large k runs dry at the first D_j >= E_k (small j straddles E_k, so it
     # was given to k or an earlier large item) and borrows D_j - E_k from k + 1
     j = np.searchsorted(d_cum, e_cum[:-1], side="left")
@@ -162,12 +168,31 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
+def _draw_chunk(rng, total_rate: float, t_cursor: float, accept: np.ndarray,
+                alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next _CHUNK events after t_cursor: their times and items. The
+    order of the draws (gaps, slots, coins) fixes each seed's run."""
+    n = accept.size
+    times = rng.exponential(1.0 / total_rate, _CHUNK)
+    np.cumsum(times, out=times)
+    times += t_cursor
+    slots = rng.random(_CHUNK)
+    slots *= n
+    j = slots.view(np.int64)  # each slot's index, written over its draw
+    np.trunc(slots, out=j, casting="unsafe")
+    np.minimum(j, n - 1, out=j)
+    coin = rng.random(_CHUNK)
+    items = alias[j]
+    np.copyto(items, j, where=coin < accept[j])
+    return times, items
+
+
 class _State:
     """Mutable per-run arrays updated block by block. Sequence numbers and
     event times never decrease along the run, so an item's latest sale holds
     both its largest sequence number and its largest time."""
 
-    def __init__(self, cfg: SimulationConfig):
+    def __init__(self, cfg: SimulationConfig, snapshot_sink):
         n = cfg.n_items
         self.cfg = cfg
         self.first_time = np.full(n, np.inf)
@@ -176,6 +201,7 @@ class _State:
         self.boundary: list[int] = []
         self.tracked_ranks: list[float] = []
         self.snapshots: dict[float, np.ndarray] = {}
+        self.snapshot_sink = snapshot_sink or self.snapshots.__setitem__
         # position of each item within the never-sold block
         self.init_rank = cfg.initial_order
 
@@ -191,7 +217,7 @@ class _State:
         if ti is not None:
             self.tracked_ranks.append(float(self._rank_of(ti, n_sold)))
         if self.cfg.record_snapshots:
-            self.snapshots[theta] = self._all_ranks(n_sold)
+            self.snapshot_sink(theta, self._all_ranks())
 
     def _rank_of(self, item: int, n_sold: int) -> int:
         if self.last_seq[item] >= 0:
@@ -200,21 +226,27 @@ class _State:
         ahead = int(np.count_nonzero(never & (self.init_rank < self.init_rank[item])))
         return n_sold + ahead + 1
 
-    def _all_ranks(self, n_sold: int) -> np.ndarray:
-        sold = self.last_seq >= 0
-        subkey = np.where(sold, -self.last_seq, self.init_rank)
-        order = np.lexsort((subkey, ~sold))
-        ranks = np.empty(self.cfg.n_items, dtype=np.int64)
-        ranks[order] = np.arange(1, self.cfg.n_items + 1)
-        return ranks
+    def _all_ranks(self) -> np.ndarray:
+        # one distinct key per item: -1 - last_seq < 0 puts the sold first,
+        # latest sale first, and init_rank >= 1 the never-sold after them
+        key = np.subtract(-1, self.last_seq)
+        np.copyto(key, self.init_rank, where=self.last_seq < 0)
+        order = np.argsort(key)
+        for lo in range(0, order.size, _CHUNK):  # key becomes the ranks, block by block
+            part = order[lo:lo + _CHUNK]
+            key[part] = np.arange(lo + 1, lo + 1 + part.size)
+        return key
 
 
-def run_simulation(config: SimulationConfig, sink=None) -> SimulationRun:
+def run_simulation(config: SimulationConfig, sink=None,
+                   snapshot_sink=None) -> SimulationRun:
     """Run the process to the horizon; deterministic in the seed.
 
     ``sink(times, items)``, when given, receives each chunk of events after
     the chunk is applied, so a caller can stream the log instead of keeping
-    it (``record_events=False``). It does not change the draws.
+    it (``record_events=False``). ``snapshot_sink(theta, ranks)`` likewise
+    receives each full ranking of a ``record_snapshots`` run when it is
+    taken, and the run keeps none in ``snapshots``. Neither changes the draws.
     """
     rates = config.rates
     total_rate = float(rates.sum())
@@ -226,7 +258,7 @@ def run_simulation(config: SimulationConfig, sink=None) -> SimulationRun:
 
     rng = np.random.default_rng(config.seed)
     accept, alias = _build_alias(rates)
-    state = _State(config)
+    state = _State(config, snapshot_sink)
     obs = config.observe_times
     obs_idx = 0
     ev_times, ev_items = [np.empty(0)], [np.empty(0, dtype=np.int64)]
@@ -235,13 +267,7 @@ def run_simulation(config: SimulationConfig, sink=None) -> SimulationRun:
     done = False
 
     while not done:
-        gaps = rng.exponential(1.0 / total_rate, _CHUNK)
-        times = t_cursor + np.cumsum(gaps)
-        slots = rng.random(_CHUNK)
-        coin = rng.random(_CHUNK)
-        j = np.minimum((slots * rates.size).astype(np.int64), rates.size - 1)
-        items = np.where(coin < accept[j], j, alias[j])
-
+        times, items = _draw_chunk(rng, total_rate, t_cursor, accept, alias)
         n_valid = int(np.searchsorted(times, config.horizon, side="right"))
         done = n_valid < _CHUNK
         times = times[:n_valid]
@@ -274,7 +300,8 @@ def run_simulation(config: SimulationConfig, sink=None) -> SimulationRun:
             times=obs.copy(), ranks=np.array(state.tracked_ranks),
             meta=f"simulated item {config.track_item}, seed {config.seed}")
 
-    last_sale = np.where(state.last_seq >= 0, state.last_time, np.nan)
+    last_sale = state.last_time
+    last_sale[state.last_seq < 0] = np.nan
     return SimulationRun(
         config=config,
         total_events=seq_base,

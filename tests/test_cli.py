@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -223,6 +226,22 @@ class TestEvalCommand:
         assert out == "" and "rankflow: error:" in err
 
 
+GOLDEN_SIMULATE_CSV = {
+    "events.csv":
+        "ed710229c981a93718f7b3132b10cbdab45f92f96c3af7425db19fd51587324a",
+    "snapshot_0000.csv":
+        "07bfcd45ab4834b32047c77b64e25077e2b066924fa7e8993f5622aee6850ac0",
+    "snapshot_0001.csv":
+        "be6ee295ca4c96f61aecad4f52803453dbacc2972775e2128fc5c3b186d1a0d2",
+    "snapshot_0002.csv":
+        "f02c137b6735a7bd8254bd5c31b7d0921b78775418444cc28ace49f387b065a0",
+    "snapshot_0003.csv":
+        "1603a39e3af13eed02918f19fec259673551d811691b2c816bbc1e0627572ada",
+    "trajectory.csv":
+        "638a73d84a28c6e42c2ec2f51821a3bc182704cb8ffc05e44dd9a81ab88926e5",
+}
+
+
 def write_sim_config(path, **over):
     values = dict(n_items=5000, a=5e-4, b=0.8, gamma=0.0, horizon=3000.0,
                   seed=0, observe_every=60.0, track_item=4999)
@@ -300,6 +319,55 @@ class TestSimulateCommand:
         assert read_raw(f"{prefix}_trajectory.csv") == csv_writer_text(
             ["t_hours", "rank"], ([f"{t:.12g}", f"{r:.12g}"]
                                   for t, r in zip(traj.times, traj.ranks)))
+
+    @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                        reason="golden bytes are those of numpy on x86-64 Linux")
+    def test_seeded_outputs_match_golden_bytes(self, tmp_path):
+        # SHA-256 of each file, taken before the simulator's arithmetic was
+        # made in-place and its snapshots streamed
+        config = tmp_path / "sim.cfg"
+        write_sim_config(config, n_items=3000, a=1.0, horizon=12.0, observe_every=3.0,
+                         track_item=7, snapshots=1)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 0
+        got = {name: hashlib.sha256((tmp_path / f"run_{name}").read_bytes()).hexdigest()
+               for name in GOLDEN_SIMULATE_CSV}
+        assert got == GOLDEN_SIMULATE_CSV
+
+    def test_memory_does_not_grow_with_snapshots(self, tmp_path, monkeypatch):
+        # each snapshot goes to its file when taken; keeping them would add
+        # 8 B x N per snapshot, 6.2 MB over the 39 extra ones here. Small
+        # chunks keep the draws' temporaries below the snapshots' own
+        monkeypatch.setattr("rankflow.sim._CHUNK", 2 ** 14)
+        n = 20000
+
+        def peak_bytes(every, name):
+            config = tmp_path / f"{name}.cfg"
+            write_sim_config(config, n_items=n, horizon=40.0, observe_every=every,
+                             snapshots=1)
+            tracemalloc.start()
+            try:
+                code = cli.main(["simulate", str(config), "-o", str(tmp_path / name)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(40.0, "warm")
+        code_1, one = peak_bytes(40.0, "one")
+        code_40, forty = peak_bytes(1.0, "forty")
+        assert code_1 == code_40 == 0
+        assert (tmp_path / "forty_snapshot_0039.csv").exists()
+        assert forty <= one + 2 * 8 * n
+
+    def test_failed_run_removes_the_snapshots_it_wrote(self, tmp_path, capsys):
+        config = tmp_path / "snap.cfg"
+        write_sim_config(config, n_items=50, horizon=30.0, observe_every=10.0,
+                         track_item=0, snapshots=1)
+        # the second snapshot cannot be opened, after the first was written
+        (tmp_path / "run_snapshot_0001.csv").mkdir()
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run"),
+                         "--force"]) == 1
+        assert "rankflow: error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["snap.cfg"]
 
     def test_memory_does_not_grow_with_events(self, tmp_path, monkeypatch):
         # small chunks keep both runs many chunks long, so chunk-sized
@@ -471,6 +539,37 @@ class TestNumpyOnlyRuntime:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Prints whether numpy is loaded after `import rankflow`, then the thread
+# count and OpenBLAS setting after `import rankflow.cli`.
+START_UP_DRIVER = ("import os, sys\n"
+                   "import rankflow\n"
+                   "print('numpy' in sys.modules)\n"
+                   "import rankflow.cli\n"
+                   "tasks = '/proc/self/task'\n"
+                   "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
+                   "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+
+
+class TestStartUp:
+    def run_driver(self, **env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", START_UP_DRIVER],
+                              capture_output=True, text=True, env={**base, **env})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_cli_runs_numpy_on_one_thread(self):
+        numpy_loaded, threads, setting = self.run_driver()
+        assert numpy_loaded == "False"  # so the CLI sets numpy's environment first
+        assert setting == "1"
+        if threads == "None":
+            pytest.skip("no /proc/self/task on this platform")
+        assert threads == "1"
+
+    def test_user_setting_wins(self):
+        assert self.run_driver(OPENBLAS_NUM_THREADS="2")[2] == "2"
 
 
 class TestOracleCommand:

@@ -155,6 +155,11 @@ class TestPotentialShare:
         with pytest.raises(DivergenceError):
             sales_share_potential(low2(), 0.0, 0.5)
 
+    def test_band_beyond_double_range_is_a_value_error(self):
+        # (r1 + gamma)^((b - 1)/b) = 1e380 raised a bare OverflowError
+        with pytest.raises(ValueError, match=r"band \[1e-20, 1\].*b = 0\.05"):
+            sales_share_potential(SalesRateDistribution.pareto(1.0, 0.05), 1e-20, 1.0)
+
     def test_cutoff_head_is_finite(self):
         d = SalesRateDistribution.pareto_cutoff(LOW_A, LOW_B, 1e-3)
         total = sales_share_potential(d, 0.0, 1.0)

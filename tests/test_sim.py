@@ -1,6 +1,9 @@
 """Finite-N simulator: exactness of the dynamics and convergence to the limit."""
 
+import hashlib
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -309,6 +312,85 @@ def test_sink_streams_the_recorded_events():
                                   recorded.event_items)
     np.testing.assert_array_equal(streamed.tracked_trajectory.ranks,
                                   recorded.tracked_trajectory.ranks)
+
+
+def test_snapshot_sink_receives_the_rankings_instead_of_the_run():
+    taken = []
+    cfg = SimulationConfig(rates=discrete_rates(300, 0.05, 0.8), horizon=30.0, seed=11,
+                           observe_times=np.linspace(0.0, 30.0, 16), record_snapshots=True)
+    streamed = run_simulation(cfg, snapshot_sink=lambda theta, ranks:
+                              taken.append((theta, ranks)))
+    recorded = run_simulation(cfg)
+    assert streamed.snapshots == {} and len(taken) == recorded.observe_times.size
+    for (theta, ranks), want in zip(taken, recorded.observe_times):
+        assert theta == want
+        np.testing.assert_array_equal(ranks, recorded.snapshot_at(want))
+    np.testing.assert_array_equal(streamed.first_sale, recorded.first_sale)
+
+
+def sha256_of(*arrays):
+    """Digest of the arrays' dtypes and raw bytes."""
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(x.dtype.str.encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    return h.hexdigest()
+
+
+# Golden bytes, taken from the simulator before its arithmetic was made
+# in-place. numpy's float64 power is a vectorized kernel on x86-64 CPUs with
+# AVX-512 and glibc's pow elsewhere; the two differ in the last bit of some
+# rates, so each law pins (rates, alias table) digests for both. Other
+# platforms may round the power differently again.
+x86_64_linux = pytest.mark.skipif(
+    not (sys.platform == "linux" and platform.machine() == "x86_64"),
+    reason="golden bytes are those of numpy on x86-64 Linux")
+
+GOLDEN_RATES_AND_ALIAS = {
+    (1000, LOW_A, LOW_B, 0.0): {
+        ("fd4dd6d77a4d963716d2485a29201c435499f161cbcb1db1cf5d694b760b2564",
+         "01fdf9db7ee7f27768a1b320c48b6d659232dd95f8465eaa930acbca782bcc38"),
+        ("827cd1016cb26d3a35e0a7072487ca6b8779cd9f93f40fa6d53f8ae5e0460e97",
+         "b1192e26a045163f5ea686dbee90a85fead3019cb7a49afe9be61c6e7e130cbc")},
+    (1000, LOW_A, 1.2, 0.0): {
+        ("38c0389697186b4b0d5e6a6f12065889e2ab25bbbefd6d498309db304b1131f7",
+         "3589ad1e668393a9dd3fe41c2534fd1007419c5ed349ace8467c19729cb4445d"),
+        ("7e1f5661f40a1b5ada2f9e7edf51d337b454b2ea973279097d97fb9d65bcb9ec",
+         "1667c4ef96ea72d021c0c59d8e89797fd87603ea719aefa2223afc828ba4fd77")},
+    (777, LOW_A, LOW_B, 0.1): {
+        ("77d3b01303471e306dde02e54b552888d4d3675cedd085cfe2142b759d8746f3",
+         "c5613014a150c4bad34bde3fc6da832f6b6a2fdf3c7310e31cd10481440b2292"),
+        ("79b0503640ae91c498cf796c9941274b797fcc46d04f9319df01f0a241b7886a",
+         "79ccebadd3f9b614310bb342651b5f5d597f2f0b1e23d0e3fa30b4ff2e123510")},
+    (10**5, 1.0, 0.8, 0.0): {
+        ("ac4f09c3df946290413d7ff1bbbd6b2b7f1db265fdd4c09f28b8322e3b769c7c",
+         "b680050292515b5f79c23c876da104685845e6038aac5cdb845159db1998061f"),
+        ("5c73b5aa43c9c16e3aec77adbe3c0144840e0b56635946685766b5fb53efa747",
+         "8090d4d60a0212a61a787b31a5ac289b3397be7bb3a9285a67b784a088b2cbaa")},
+    (4096, 2.5, 1.999, 3.0): {
+        ("d6838df69c464f8daa59d260dacfcd5fd1b0e4ce5b34d6dcab6edec8db8a36f4",
+         "caa0f91501edb50868cb82ce41672dc5a0a6acf76a27355d01c4278ef8c997e4"),
+        ("47c5b0458160e456cfb64643ca750cbe9b52e0ece21f274ccc10dbecebcc5b51",
+         "11809297f389d68afaf6a8220ba897d9654d1b27cf6d6d67bdc17c27d0ea367e")},
+}
+
+
+@x86_64_linux
+@pytest.mark.parametrize("law", GOLDEN_RATES_AND_ALIAS)
+def test_rates_and_alias_table_match_golden_bytes(law):
+    w = discrete_rates(*law)
+    assert (sha256_of(w), sha256_of(*_build_alias(w))) in GOLDEN_RATES_AND_ALIAS[law]
+
+
+@x86_64_linux
+def test_sale_times_match_golden_bytes():
+    cfg = SimulationConfig(rates=discrete_rates(2000, 1.0, 0.8, 0.05), horizon=150.0,
+                           seed=9, observe_times=np.array([10.0, 150.0]),
+                           record_events=False)
+    run = run_simulation(cfg)
+    assert run.total_events == 1433052
+    assert sha256_of(run.first_sale, run.last_sale) == (
+        "beb9f86e2d7c4742230f9f9e9c1d64045e7d17e1636e03794d5d7b05a2a56282")
 
 
 def _replay_move_to_front(run):
