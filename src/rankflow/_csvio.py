@@ -1,7 +1,11 @@
 """The one CSV reader and the one CSV writer behind every rankflow file.
 
-Rows are written a block at a time with one ``%`` operation. The bytes match
-``csv.writer``'s default dialect for numeric fields: no quoting, ``\\r\\n`` ends.
+Rows match ``csv.writer``'s default dialect for numeric fields: no quoting,
+``\\r\\n`` ends, and each number as Python's ``%d`` or ``%.12g`` writes it. A
+block of rows is a byte matrix: each field is its digit bytes ANDed with a
+mask row that zeroes the unused bytes and supplies the point and leading
+zeros, and deleting the zero bytes leaves the rows. Python formats the rare
+value whose rounding is in doubt, or that ``%g`` writes in exponent notation.
 """
 
 from __future__ import annotations
@@ -10,7 +14,37 @@ import csv
 
 import numpy as np
 
-_BLOCK = 8192  # rows per % operation; keeps the temporaries small
+_BLOCK = 2048  # rows per block; 2048 keeps its arrays below glibc's 128 KiB mmap threshold
+
+# "0000".."9999" in memory order, from the two-digit table: as uint32 for %d,
+# and as uint64 with a 0xff byte after each digit for %.12g (entry 10000 is
+# all 0xff). _KEPT[g] is how many digits of group g stay without trailing zeros.
+_DIGIT = np.arange(48, 58, dtype=np.uint8)  # ASCII "0".."9"
+_TWO = np.stack(np.broadcast_arrays(_DIGIT[:, None], _DIGIT), -1).reshape(100, 2)
+_FOUR = np.concatenate(np.broadcast_arrays(_TWO[:, None], _TWO), -1).reshape(10000, 4)
+_GROUP = _FOUR.view(np.uint32).ravel()
+_SPACED = np.full((10001, 8), 255, dtype=np.uint8)
+_SPACED[:10000, ::2] = _FOUR
+_SPACED = _SPACED.view(np.uint64).ravel()
+_KEPT = np.where(np.arange(100) % 10 > 0, 2, np.arange(100) > 0)
+_KEPT = np.where(_KEPT > 0, _KEPT + 2, _KEPT[:, None]).ravel()
+
+# a %.12g field is a prefix word "...0.000", then digit j at byte 8 + 2j and
+# a free byte after it. A fixed number (e >= 0) keeps max(e + 1, kept) digits
+# and a point after digit e; a small one (e < 0) keeps "0.", -e - 1 zeros and
+# its kept digits. Mask row (e + 4) * 13 + kept.
+_POS, _E, _K = np.arange(32), np.arange(-4, 12)[:, None, None], np.arange(13)[:, None]
+_DIGITS_KEPT = np.where(_E < 0, _K, np.maximum(_E + 1, _K))
+_G_MASK = np.select(
+    [(_POS >= 8) & (_POS % 2 == 0) & ((_POS - 8) // 2 < _DIGITS_KEPT),
+     (_E >= 0) & (_POS == 9 + 2 * _E) & (_K > _E + 1),
+     (_E < 0) & (_POS >= 3) & (_POS < 4 - _E)],
+    [255, ord("."), np.array(list(b"\0\0\0" + b"0.000" + bytes(24)))],
+).astype(np.uint8).reshape(-1, 32)
+_POW10 = np.array([float(10 ** k) for k in range(16)])  # exact doubles
+# a %d field is 12 zero-padded digits; mask row d - 1 keeps the last d
+_D_MASK = np.where(np.arange(12) >= 11 - np.arange(12)[:, None], 255, 0).astype(np.uint8)
+_D_LIMITS = 10 ** np.arange(1, 12)
 
 
 def read_columns(path, header, types) -> list[tuple]:
@@ -37,21 +71,87 @@ def read_columns(path, header, types) -> list[tuple]:
 
 
 def open_csv(path, header):
-    """Open ``path`` for writing and emit the header row."""
-    fh = open(path, "w", newline="")
-    fh.write(",".join(header) + "\r\n")
+    """Open ``path`` for binary writing and emit the header row."""
+    fh = open(path, "wb")
+    fh.write((",".join(header) + "\r\n").encode())
     return fh
 
 
+def _groups(m):
+    """The 4-digit groups [high, mid, low] of the integers ``0 <= m < 10**12``."""
+    top = m // 10 ** 4
+    high = top // 10 ** 4
+    return [high, top - high * 10 ** 4, m - top * 10 ** 4]
+
+
+def _general_field(x):
+    """(True where Python must format, digit bytes, mask) of ``%.12g``."""
+    ok = (x > 0.0) & (x < np.inf)
+    x = np.where(ok, x, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    y = x * _POW10.take(11 - e, mode="clip")
+    e += (y >= 1e12).astype(np.int64) - (y < 1e11)  # where log10 was one off
+    y = x * _POW10.take(11 - e, mode="clip")
+    m = np.rint(y)
+    carry = m == 1e12  # rounds up to the next power of ten
+    e += carry
+    # y is within 2**-13 of x * 10**k, so m is its correct rounding unless
+    # y is within 2**-11 of a tie
+    odd = (~ok | (e < -4) | (e > 11) | (m < 1e11) | (m > 1e12)
+           | (np.abs(y - m) >= 0.5 - 2.0 ** -11))
+    groups = _groups(np.where(odd | carry, 1e11, m).astype(np.int64))
+    high, mid, low = (_KEPT.take(g) for g in groups)
+    kept = np.where(low > 0, 8 + low, np.where(mid > 0, 4 + mid, high))
+    # the prefix word only when a value needs it
+    words = np.stack([np.full_like(e, 10000)] * bool(np.any(e < 0)) + groups, axis=1)
+    mask = _G_MASK[:, 32 - 8 * words.shape[1]:].take((e + 4) * 13 + kept, axis=0, mode="clip")
+    return odd, _SPACED.take(words).view(np.uint8), mask
+
+
+def _int_field(v):
+    """Like ``_general_field``, in as many 4-digit groups as the longest needs."""
+    if v.dtype.kind not in "iu":
+        raise ValueError(f"a %d field needs integers, got {v.dtype}")
+    odd = (v < 0) | (v >= 10 ** 12)
+    v = np.where(odd, 0, v).astype(np.int64)
+    digits = np.searchsorted(_D_LIMITS, v, side="right")  # digits - 1
+    skip = 2 - digits.max() // 4  # leading groups that are zero in every row
+    words = _GROUP.take(np.stack(_groups(v)[skip:], axis=1)).view(np.uint8)
+    return odd, words, _D_MASK[:, 4 * skip:].take(digits, axis=0)
+
+
 def write_rows(fh, fmt: str, *columns) -> None:
-    """Write equal-length ``columns`` (numpy arrays or ranges) as rows of the
-    per-row %-format ``fmt``; numpy blocks go through ``tolist`` first."""
-    n, k = len(columns[0]), len(columns)
-    line = fmt + "\r\n"
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        flat = [None] * ((hi - lo) * k)
-        for j, col in enumerate(columns):
-            part = col[lo:hi]
-            flat[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
-        fh.write((line * (hi - lo)) % tuple(flat))
+    """Write equal-length ``columns`` (numpy arrays or ranges) to the binary
+    ``fh`` as rows of ``fmt``: ``%d`` and ``%.12g`` fields joined by commas."""
+    kinds = fmt.split(",")
+    if not set(kinds) <= {"%d", "%.12g"} or len(kinds) != len(columns):
+        raise ValueError(f"row format {fmt!r} does not fit {len(columns)} columns")
+    for lo in range(0, len(columns[0]), _BLOCK):
+        values, fields = [], []
+        for kind, col in zip(kinds, columns):
+            part = col[lo:lo + _BLOCK]
+            if isinstance(part, range):
+                part = np.arange(part.start, part.stop, part.step)
+            values.append(np.asarray(part, None if kind == "%d" else np.float64))
+            fields.append((_int_field if kind == "%d" else _general_field)(values[-1]))
+        rows = values[0].size
+        b = np.empty((rows, sum(w.shape[1] + 1 for _, w, _ in fields) + 1), dtype=np.uint8)
+        s = 0
+        for _, words, mask in fields:  # each field, then its , or \r
+            np.bitwise_and(words, mask, out=b[:, s:s + words.shape[1]])
+            s += words.shape[1] + 1
+            b[:, s - 1] = ord(",")
+        b[:, -2:] = [ord("\r"), ord("\n")]
+        # runs of laid-out rows alternate with runs that Python formats
+        odd = np.logical_or.reduce([f[0] for f in fields])
+        cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist(), rows]
+        pieces = []
+        for a, z in zip(cuts, cuts[1:]):
+            if odd[a]:
+                flat = [None] * ((z - a) * len(values))
+                for j, v in enumerate(values):
+                    flat[j::len(values)] = v[a:z].tolist()
+                pieces.append((((fmt + "\r\n") * (z - a)) % tuple(flat)).encode())
+            else:
+                pieces.append(b[a:z].tobytes().translate(None, b"\0"))
+        fh.write(b"".join(pieces))

@@ -136,6 +136,10 @@ def _load_sim_config(path: str) -> SimulationConfig:
         raise ValueError(f"{path}: horizon/observe_every asks for more than "
                          f"{_MAX_GRID_POINTS} observations")
     observe_times = np.arange(every, stop, every)
+    snapshots = values.get("snapshots", "0").lower()
+    if snapshots not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"{path}: snapshots must be 1, true, yes, 0, false or no, "
+                         f"got {values['snapshots']!r}")
     track = values.get("track_item")
     track_item = int(track) if track not in (None, "") else None
     initial_order = None
@@ -155,7 +159,7 @@ def _load_sim_config(path: str) -> SimulationConfig:
         initial_order=initial_order,
         track_item=track_item,
         record_events=False,  # _cmd_simulate streams the log to its CSV
-        record_snapshots=values.get("snapshots", "0").lower() in ("1", "true", "yes"),
+        record_snapshots=snapshots in ("1", "true", "yes"),
         max_events=float(values.get("max_events", "1e8")),
     )
 

@@ -78,6 +78,8 @@ class SimulationConfig:
             raise ValueError("all rates must be finite and strictly positive")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
+        if not 0.0 < self.max_events < math.inf:  # NaN fails too
+            raise ValueError("max_events must be positive and finite")
         obs = self.observe_times = np.asarray(self.observe_times, dtype=float)
         if not np.all(np.isfinite(obs)) or np.any(np.diff(obs) < 0.0):
             raise ValueError("observe_times must be finite and sorted")

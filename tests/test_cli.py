@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -15,8 +16,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankflow.cli as cli
+from rankflow._csvio import _BLOCK, write_rows
 from rankflow.dist import SalesRateDistribution, discrete_rates, save_rates_csv
 from rankflow.fit import FitResult, RankingTrajectory, fit_pareto
 from rankflow.limit import SalesShareReport
@@ -408,6 +412,30 @@ class TestSimulateCommand:
         assert code == 1 and peak < 4 * 2 ** 20
         assert "observations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["nan", "inf", "0", "-5"])
+    def test_bad_event_cap_is_a_one_line_error(self, tmp_path, capsys, cap):
+        # nan turned the cap off; -5 failed as "exceeds cap -5"
+        config = tmp_path / "cap.cfg"
+        write_sim_config(config, n_items=50, horizon=100.0, observe_every=10.0,
+                         track_item=0, max_events=cap)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "max_events" in err and "exceeds cap" not in err
+        assert not (tmp_path / "run_events.csv").exists()
+
+    def test_snapshots_flag_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "snap.cfg"
+        write_sim_config(config, n_items=50, horizon=20.0, observe_every=10.0,
+                         track_item=0, snapshots="maybe")
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 1
+        assert "snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "run_events.csv").exists()
+        write_sim_config(config, n_items=50, horizon=20.0, observe_every=10.0,
+                         track_item=0, snapshots="YES")
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run_snapshot_0001.csv").exists()
+
     def test_capacity_error_leaves_no_event_log(self, tmp_path, capsys):
         config = tmp_path / "cap.cfg"
         write_sim_config(config, max_events=10)
@@ -449,8 +477,69 @@ class TestSimulateCommand:
         assert not (tmp_path / "x_events.csv").exists()
 
 
+def written_text(header, fmt, *columns):
+    buf = io.BytesIO()
+    write_rows(buf, fmt, *columns)
+    return ",".join(header) + "\r\n" + buf.getvalue().decode()
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _near_tie(m, e, ulps):
+    x = (m + 0.5) * 10.0 ** (e - 11)  # halfway between two 12-digit roundings
+    return float(np.nextafter(x, np.inf * ulps)) if ulps else x
+
+
+# powers of ten and their neighbours, where %g's exponent and notation change
+_TENS = [v for k in range(-6, 14)
+         for v in (np.nextafter(10.0 ** k, 0.0), 10.0 ** k, np.nextafter(10.0 ** k, np.inf))]
+FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_double),  # subnormals, negatives, -0.0, nan, +-inf
+    st.sampled_from(_TENS),
+    st.builds(_near_tie, st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-4, 11),
+              st.integers(-1, 1)),
+    st.floats(1e-4, 1e12),
+)
+INTS = st.one_of(
+    st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.sampled_from([0, 10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1, 2 ** 63 - 1, -1, -10 ** 12]),
+)
+
+
 class TestCsvWriters:
     """Block-formatted files are byte-identical to csv.writer output."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(FLOATS, INTS), min_size=1, max_size=40),
+           start=st.sampled_from([0, 10 ** 12 - 3, 2 ** 63 - 50]))
+    def test_rows_match_csv_writer(self, rows, start):
+        xs = np.array([x for x, _ in rows])
+        ks = np.array([k for _, k in rows], dtype=np.int64)
+        items = range(start, start + len(rows))
+        header = ["item", "x", "k"]
+        assert written_text(header, "%d,%.12g,%d", items, xs, ks) == csv_writer_text(
+            header, ([i, f"{x:.12g}", int(k)] for i, x, k in zip(items, xs, ks)))
+
+    def test_column_longer_than_a_block(self):
+        # runs of Python-formatted rows (exponent notation, ties, zeros)
+        # between laid-out ones, across block boundaries
+        rng = np.random.default_rng(11)
+        n = 2 * _BLOCK + 7
+        xs = rng.random(n) * 10.0 ** rng.integers(-7, 14, n)
+        xs[rng.integers(0, n, 200)] = 0.0
+        xs[_BLOCK - 3:_BLOCK + 3] = 2.5e-9
+        ties = rng.integers(0, n, 100)
+        xs[ties] = [_near_tie(m, e, 0) for m, e in
+                    zip(rng.integers(10 ** 11, 10 ** 12, 100), rng.integers(-4, 12, 100))]
+        ks = rng.integers(-5, 10 ** 13, n)
+        assert written_text(["x", "k"], "%.12g,%d", xs, ks) == csv_writer_text(
+            ["x", "k"], ([f"{x:.12g}", int(k)] for x, k in zip(xs, ks)))
+
+    def test_integer_field_rejects_floats(self):
+        with pytest.raises(ValueError, match="integers"):
+            write_rows(io.BytesIO(), "%d", np.array([1.0, 2.0]))
 
     def test_trajectory_shares_and_rates(self, tmp_path):
         rng = np.random.default_rng(3)
