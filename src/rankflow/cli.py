@@ -23,7 +23,7 @@ import numpy as np  # noqa: E402
 
 from ._csvio import open_csv, write_rows  # noqa: E402
 from .dist import SalesRateDistribution, discrete_rates  # noqa: E402
-from .fit import FitOptions, RankingTrajectory, fit_pareto  # noqa: E402
+from .fit import TRAJECTORY_HEADER, RankingTrajectory, fit_pareto  # noqa: E402
 from .limit import build_share_report, y_c  # noqa: E402
 from .sim import SimulationConfig, run_simulation  # noqa: E402
 
@@ -67,7 +67,7 @@ def _cmd_fit(args) -> int:
     scale = _TIME_UNIT_HOURS[args.time_unit]
     if scale != 1.0:
         traj = RankingTrajectory(traj.times * scale, traj.ranks, meta=traj.meta)
-    result = fit_pareto(traj, FitOptions(workers=args.workers))
+    result = fit_pareto(traj)
     with open(args.output, "w") as fh:
         fh.write(result.to_json() + "\n")
     print(f"fit: N*={_FMT.format(result.n_star)} a*={_FMT.format(result.a_star)}/hour "
@@ -158,7 +158,6 @@ def _load_sim_config(path: str) -> SimulationConfig:
         observe_times=observe_times,
         initial_order=initial_order,
         track_item=track_item,
-        record_events=False,  # _cmd_simulate streams the log to its CSV
         record_snapshots=snapshots in ("1", "true", "yes"),
         max_events=float(values.get("max_events", "1e8")),
     )
@@ -174,22 +173,27 @@ def _cmd_simulate(args) -> int:
         _ensure_writable(path, args.force)  # before the run, so nothing is half written
     unwritten, written = iter(snap_paths), []
 
+    def create(path, header):  # recorded once open, for removal if the run fails
+        fh = open_csv(path, header)
+        written.append(path)
+        return fh
+
     def write_snapshot(theta, ranks):  # each ranking goes to its file when taken
-        with open_csv(next(unwritten), ["item", "w", "rank"]) as sfh:
-            written.append(sfh.name)
+        with create(next(unwritten), ["item", "w", "rank"]) as sfh:
             write_rows(sfh, "%d,%.12g,%d", range(cfg.n_items), cfg.rates, ranks)
 
-    fh = open_csv(events_path, ["t", "item"])
     try:
-        with fh:
+        with create(events_path, ["t", "item"]) as fh:
             run = run_simulation(cfg, sink=lambda t, i: write_rows(fh, "%.12g,%d", t, i),
                                  snapshot_sink=write_snapshot)
+        traj = run.tracked_trajectory
+        if traj is not None:
+            with create(traj_path, TRAJECTORY_HEADER) as tfh:
+                write_rows(tfh, "%.12g,%.12g", traj.times, traj.ranks)
     except BaseException:
-        for path in (events_path, *written):
-            os.remove(path)  # a failed run leaves no partial event log or snapshot
+        for path in written:
+            os.remove(path)  # a failed run leaves no partial output file
         raise
-    if run.tracked_trajectory is not None:
-        run.tracked_trajectory.to_csv(traj_path)
     print(f"simulate: {run.total_events} events, wrote {events_path}")
     return 0
 
@@ -201,7 +205,7 @@ def _cmd_report(args) -> int:
     _ensure_writable(shares_path, args.force)
     r_grid = _parse_grid(args.r_grid)
     traj = RankingTrajectory.from_csv(args.input)
-    result = fit_pareto(traj, FitOptions(workers=args.workers))
+    result = fit_pareto(traj)
     report = build_share_report(SalesRateDistribution.pareto(result.a_star, result.b_star),
                                 r_grid)
     # written only now, so that a bad grid leaves no fit file behind
@@ -246,7 +250,6 @@ def _build_parser() -> _Parser:
     p.add_argument("input", help="CSV with header t_hours,rank")
     p.add_argument("-o", "--output", required=True, help="FitResult JSON path")
     p.add_argument("--time-unit", choices=sorted(_TIME_UNIT_HOURS), default="hour")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
@@ -279,7 +282,6 @@ def _build_parser() -> _Parser:
     p.add_argument("input", help="CSV with header t_hours,rank")
     p.add_argument("-o", "--output-prefix", required=True)
     p.add_argument("--r-grid", default="0.01:0.9:0.01")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_report)
 
@@ -289,7 +291,6 @@ def _build_parser() -> _Parser:
     g.add_argument("z", type=float)
     g.add_argument("p", type=float)
     lap = osub.add_parser("laplace")
-    lap.add_argument("kind", choices=["pareto", "cutoff"])
     lap.add_argument("a", type=float)
     lap.add_argument("b", type=float)
     lap.add_argument("t", type=float)
@@ -309,11 +310,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "what", None) == "laplace" and args.kind == "cutoff" \
-            and args.gamma <= 0.0:
-        parser.error("cutoff oracle needs --gamma > 0")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -91,7 +90,7 @@ class RankingTrajectory:
 @dataclass
 class FitOptions:
     max_iter: int = 2000
-    workers: int = 1             # capped by RANKFLOW_THREADS
+    workers: int = 1  # the benchmark's fit.pool_speedup pins the pool (ROADMAP item 4)
     weights: np.ndarray | None = None
     # (n0, a0, b0) starting guesses; n0 is projected out, so only (a0, b0) is used
     extra_starts: list[tuple[float, float, float]] = field(default_factory=list)
@@ -268,16 +267,6 @@ def _start_grid(traj: RankingTrajectory) -> list[np.ndarray]:
             for b0 in (0.3, 0.5, 0.7, 0.9, 1.2, 1.5)]
 
 
-def _resolve_workers(requested: int) -> int:
-    cap = os.environ.get("RANKFLOW_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
-
-
 def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> FitResult:
     """Best mean-square (N, a, b) for the observed trajectory.
 
@@ -310,11 +299,10 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
         starts.append(np.array([math.log(a0), float(b0)]))
 
     jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter) for x0 in starts]
-    workers = _resolve_workers(opts.workers)
-    if workers > 1 and len(jobs) > 1:
+    if opts.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs start-up time
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=opts.workers) as pool:
             outcomes = list(pool.map(_descend, jobs))
     else:
         outcomes = [_descend(j) for j in jobs]

@@ -53,6 +53,8 @@ def gamma_quad(z: float, p: float) -> tuple[float, float]:
 
 
 def _cutoff_upper(a: float, b: float, gamma: float) -> float:
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 <= gamma < math.inf):
+        raise ValueError("the law needs finite a > 0, b > 0 and gamma >= 0")
     if gamma == 0.0:
         return math.inf
     return a * (1.0 + 1.0 / gamma) ** (1.0 / b)
@@ -66,8 +68,8 @@ def laplace_quad(a: float, b: float, t: float, gamma: float = 0.0) -> tuple[floa
     range (a naive integral over w misses the spike at the support edge
     when t is large, and the edge singularity when t is small).
     """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     factor = 1.0 + gamma
     w_hi = _cutoff_upper(a, b, gamma)
     if t == 0.0:

@@ -66,7 +66,6 @@ class SimulationConfig:
     observe_times: np.ndarray = field(default_factory=lambda: np.array([]))
     initial_order: np.ndarray | None = None
     track_item: int | None = None
-    record_events: bool = True
     record_snapshots: bool = False
     max_events: float = 1e8
 
@@ -104,14 +103,15 @@ class SimulationConfig:
 
 @dataclass
 class SimulationRun:
-    """Event log (optional), per-item sale summaries, and observation data."""
+    """Event log (empty when a sink took it), per-item sale summaries, and
+    observation data."""
 
     config: SimulationConfig
     total_events: int
     first_sale: np.ndarray            # time of first sale per item, inf if never
     last_sale: np.ndarray             # time of latest sale per item, nan if never
-    event_times: np.ndarray | None
-    event_items: np.ndarray | None
+    event_times: np.ndarray
+    event_items: np.ndarray
     observe_times: np.ndarray
     boundary_counts: np.ndarray       # ever-sold count at each observe time
     snapshots: dict[float, np.ndarray]  # empty when a snapshot_sink took them
@@ -246,9 +246,10 @@ def run_simulation(config: SimulationConfig, sink=None,
 
     ``sink(times, items)``, when given, receives each chunk of events after
     the chunk is applied, so a caller can stream the log instead of keeping
-    it (``record_events=False``). ``snapshot_sink(theta, ranks)`` likewise
-    receives each full ranking of a ``record_snapshots`` run when it is
-    taken, and the run keeps none in ``snapshots``. Neither changes the draws.
+    it: the run's ``event_times`` and ``event_items`` are then empty.
+    ``snapshot_sink(theta, ranks)`` likewise receives each full ranking of a
+    ``record_snapshots`` run when it is taken, and the run keeps none in
+    ``snapshots``. Neither changes the draws.
     """
     rates = config.rates
     total_rate = float(rates.sum())
@@ -263,7 +264,12 @@ def run_simulation(config: SimulationConfig, sink=None,
     state = _State(config, snapshot_sink)
     obs = config.observe_times
     obs_idx = 0
+    # the seeds keep a zero-event log's dtypes through the concatenation
     ev_times, ev_items = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    if sink is None:
+        def sink(times, items):
+            ev_times.append(times.copy())
+            ev_items.append(items.copy())
     t_cursor = 0.0
     seq_base = 0
     done = False
@@ -287,11 +293,8 @@ def run_simulation(config: SimulationConfig, sink=None,
             obs_idx += 1
         if applied < n_valid:
             state.apply(items[applied:], times[applied:], seq_base + applied)
-        if sink is not None and n_valid:
+        if n_valid:
             sink(times, items)
-        if config.record_events:
-            ev_times.append(times.copy())
-            ev_items.append(items.copy())
         seq_base += n_valid
         if not done:
             t_cursor = float(times[-1])
@@ -309,8 +312,8 @@ def run_simulation(config: SimulationConfig, sink=None,
         total_events=seq_base,
         first_sale=state.first_time,
         last_sale=last_sale,
-        event_times=np.concatenate(ev_times) if config.record_events else None,
-        event_items=np.concatenate(ev_items) if config.record_events else None,
+        event_times=np.concatenate(ev_times),
+        event_items=np.concatenate(ev_items),
         observe_times=obs.copy(),
         boundary_counts=np.array(state.boundary, dtype=np.int64),
         snapshots=state.snapshots,

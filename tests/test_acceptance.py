@@ -99,9 +99,8 @@ def test_criterion_5_boundary_convergence():
     details = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
         cfg = SimulationConfig(rates=discrete_rates(n, LOW_A, LOW_B),
-                               horizon=200.0, seed=2026, observe_times=obs,
-                               record_events=False)
-        run = run_simulation(cfg)
+                               horizon=200.0, seed=2026, observe_times=obs)
+        run = run_simulation(cfg, sink=lambda t, i: None)  # 15M events at n = 1e5
         dev = float(np.abs(run.y_c_boundary() - y_c(d, obs)).max())
         scaled = dev * math.sqrt(n)
         if n == 10 ** 5:
@@ -163,8 +162,8 @@ def test_criterion_8_stationary_joint_measure():
     t_snap = 5.0  # boundary has swept past y = 0.8 by then
     cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
                            seed=99, observe_times=np.array([t_snap]),
-                           record_events=False, record_snapshots=True)
-    run = run_simulation(cfg)
+                           record_snapshots=True)
+    run = run_simulation(cfg, sink=lambda t, i: None)
     w_bins = np.array([1.0, 2.0 ** (2.0 / 3.0), 4.0 ** (2.0 / 3.0),
                        10.0 ** (2.0 / 3.0), np.inf])
     y_bins = np.array([0.0, 0.2, 0.4, 0.6, 0.8])

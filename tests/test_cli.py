@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, file formats, and round trips."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -307,7 +306,7 @@ class TestSimulateCommand:
         prefix = tmp_path / "run"
         assert cli.main(["simulate", str(config), "-o", str(prefix)]) == 0
         cfg = cli._load_sim_config(str(config))
-        run = run_simulation(dataclasses.replace(cfg, record_events=True))
+        run = run_simulation(cfg)
         assert run.total_events > 2 ** 19  # more than one chunk
         events = csv_writer_text(["t", "item"],
                                  ([f"{t:.12g}", int(i)] for t, i in
@@ -372,6 +371,27 @@ class TestSimulateCommand:
                          "--force"]) == 1
         assert "rankflow: error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["snap.cfg"]
+
+    @pytest.mark.parametrize("fault", ["open", "write"])
+    def test_failed_trajectory_removes_every_file(self, tmp_path, capsys, monkeypatch,
+                                                  fault):
+        config = tmp_path / "sim.cfg"
+        write_sim_config(config, n_items=50, horizon=30.0, observe_every=10.0,
+                         track_item=0, snapshots=1)
+        if fault == "open":
+            (tmp_path / "run_trajectory.csv").mkdir()
+        else:  # the trajectory file is created, then its rows fail
+            def write_rows(fh, fmt, *columns):
+                if fh.name.endswith("_trajectory.csv"):
+                    raise OSError("disk full")
+                cli_write_rows(fh, fmt, *columns)
+
+            cli_write_rows = cli.write_rows
+            monkeypatch.setattr(cli, "write_rows", write_rows)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run"),
+                         "--force"]) == 1
+        assert "rankflow: error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["sim.cfg"]
 
     def test_memory_does_not_grow_with_events(self, tmp_path, monkeypatch):
         # small chunks keep both runs many chunks long, so chunk-sized
@@ -566,8 +586,8 @@ class TestRoundTripInvariant:
         rates = discrete_rates(n, a0, b0)
         for seed in range(5):
             cfg = SimulationConfig(rates=rates, horizon=horizon, seed=seed,
-                                   observe_times=obs, record_events=False)
-            run = run_simulation(cfg)
+                                   observe_times=obs)
+            run = run_simulation(cfg, sink=lambda t, i: None)
             traj = RankingTrajectory(obs, run.boundary_counts + 1.0)
             res = fit_pareto(traj)
             assert res.a_star == pytest.approx(a0, rel=0.10, abs=0.0), f"seed {seed}"
@@ -668,13 +688,21 @@ class TestOracleCommand:
         assert value == pytest.approx(math.exp(-2.0), rel=1e-10, abs=0.0)
 
     def test_laplace_and_q(self, capsys):
-        assert cli.main(["oracle", "laplace", "pareto",
-                         str(LOW_A), str(LOW_B), "100"]) == 0
+        assert cli.main(["oracle", "laplace", str(LOW_A), str(LOW_B), "100"]) == 0
         value = float(capsys.readouterr().out.split()[0])
         assert value == pytest.approx(0.753934042845, rel=1e-9, abs=0.0)
         assert cli.main(["oracle", "q", "1.2", "0.5"]) == 0
         value = float(capsys.readouterr().out.split()[0])
         assert value == pytest.approx(0.308677051630, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("args", [["-1", "0.6312", "100"], ["3.939e-4", "-0.5", "100"],
+                                      ["3.939e-4", "0.6312", "100", "--gamma", "-0.5"],
+                                      ["3.939e-4", "0.6312", "100", "--gamma", "nan"],
+                                      ["3.939e-4", "0.6312", "inf"]])
+    def test_laplace_rejects_bad_input(self, capsys, args):
+        assert cli.main(["oracle", "laplace", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rankflow: error: ") and err.count("\n") == 1
 
     def test_shares_subcommand(self, capsys):
         assert cli.main(["oracle", "shares", "2.0", "1.5", "0", "1"]) == 0
@@ -705,6 +733,19 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as err:
             cli.main(["shares", "--a", "1.0"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "traj.csv", "-o", "fit.json", "--workers", "2"],
+        ["report", "traj.csv", "-o", "rep", "--workers", "2"],
+        ["oracle", "laplace", "pareto", str(LOW_A), str(LOW_B), "100"],
+    ], ids=["fit", "report", "oracle-laplace"])
+    def test_removed_spellings_are_usage_errors(self, tmp_path, monkeypatch, argv):
+        low_trajectory_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -19,7 +19,7 @@ from rankflow.fit import (
     classify_regime,
     fit_pareto,
 )
-from rankflow.fit import _objective, _resolve_workers, minimize
+from rankflow.fit import _objective, minimize
 from rankflow.limit import _pareto_y_grid
 from rankflow.sim import synthesize_noisy_trajectory
 
@@ -207,14 +207,6 @@ class TestFit:
         parallel = fit_pareto(traj, FitOptions(workers=4))
         assert parallel.chi2 == pytest.approx(serial.chi2, rel=1e-12, abs=0.0)
         assert parallel.b_star == pytest.approx(serial.b_star, abs=1e-12)
-
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("RANKFLOW_THREADS", "2")
-        assert _resolve_workers(8) == 2
-        monkeypatch.setenv("RANKFLOW_THREADS", "junk")
-        assert _resolve_workers(8) == 8
-        monkeypatch.delenv("RANKFLOW_THREADS")
-        assert _resolve_workers(3) == 3
 
 
 class TestConvergedFlag:

@@ -44,8 +44,7 @@ def test_single_item_always_rank_one():
 
 def test_two_symmetric_items_split_the_top():
     cfg = SimulationConfig(rates=np.array([1.0, 1.0]), horizon=5e4, seed=7,
-                           observe_times=np.arange(1.0, 5e4, 1.0), track_item=0,
-                           record_events=False)
+                           observe_times=np.arange(1.0, 5e4, 1.0), track_item=0)
     run = run_simulation(cfg)
     frac = float(np.mean(run.tracked_trajectory.ranks == 1.0))
     # 3 sigma binomial window around 1/2 (samples are weakly correlated,
@@ -144,7 +143,7 @@ def test_boundary_converges_to_limit_curve():
     obs = np.linspace(4.0, 200.0, 25)
     for n in (10 ** 3, 10 ** 4):
         cfg = SimulationConfig(rates=discrete_rates(n, a, b), horizon=200.0,
-                               seed=5, observe_times=obs, record_events=False)
+                               seed=5, observe_times=obs)
         run = run_simulation(cfg)
         dev = np.abs(run.y_c_boundary() - y_c(d, obs))
         assert dev.max() <= 3.0 / math.sqrt(n)
@@ -167,7 +166,7 @@ def test_joint_measure_product_form_at_time_zero():
     order = rng.permutation(n).astype(np.int64) + 1
     cfg = SimulationConfig(rates=rates, horizon=1.0, seed=1,
                            observe_times=np.array([0.0]), initial_order=order,
-                           record_snapshots=True, record_events=False)
+                           record_snapshots=True)
     run = run_simulation(cfg)
     w_edges = np.array([1.0, 2.0, np.inf])
     y_edges = np.array([0.0, 0.5, 1.0])
@@ -190,8 +189,7 @@ def test_joint_measure_matches_nonstationary_formula():
     order = rng.permutation(n).astype(np.int64) + 1
     cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
                            seed=31, observe_times=np.array([t_snap]),
-                           initial_order=order, record_events=False,
-                           record_snapshots=True)
+                           initial_order=order, record_snapshots=True)
     run = run_simulation(cfg)
     ranks = run.snapshot_at(t_snap)
     scaled = (ranks - 1.0) / n
@@ -209,7 +207,7 @@ def test_joint_measure_matches_stationary_formula_mid_scale():
     t_snap = 5.0
     cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
                            seed=12, observe_times=np.array([t_snap]),
-                           record_events=False, record_snapshots=True)
+                           record_snapshots=True)
     run = run_simulation(cfg)
     w_bins = np.array([1.0, 2.0, np.inf])
     y_bins = np.array([0.0, 0.3, 0.7])
@@ -302,16 +300,22 @@ def test_sink_streams_the_recorded_events():
     chunks = []
     cfg = dict(rates=discrete_rates(2000, 1.0, 0.8), horizon=15.0, seed=4,
                observe_times=np.array([5.0, 15.0]), track_item=3)
-    streamed = run_simulation(SimulationConfig(record_events=False, **cfg),
+    streamed = run_simulation(SimulationConfig(**cfg),
                               sink=lambda t, i: chunks.append((t.copy(), i.copy())))
     recorded = run_simulation(SimulationConfig(**cfg))
-    assert len(chunks) > 1 and streamed.event_times is None
+    assert len(chunks) > 1
+    assert streamed.event_times.size == streamed.event_items.size == 0
     np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]),
                                   recorded.event_times)
     np.testing.assert_array_equal(np.concatenate([i for _, i in chunks]),
                                   recorded.event_items)
     np.testing.assert_array_equal(streamed.tracked_trajectory.ranks,
                                   recorded.tracked_trajectory.ranks)
+    # a run without events, and without a sink, keeps two empty typed arrays
+    quiet = run_simulation(SimulationConfig(rates=[1e-9], horizon=1e-9, seed=0))
+    assert quiet.total_events == 0
+    assert quiet.event_times.dtype == np.float64 and quiet.event_times.size == 0
+    assert quiet.event_items.dtype == np.int64 and quiet.event_items.size == 0
 
 
 def test_snapshot_sink_receives_the_rankings_instead_of_the_run():
@@ -385,8 +389,7 @@ def test_rates_and_alias_table_match_golden_bytes(law):
 @x86_64_linux
 def test_sale_times_match_golden_bytes():
     cfg = SimulationConfig(rates=discrete_rates(2000, 1.0, 0.8, 0.05), horizon=150.0,
-                           seed=9, observe_times=np.array([10.0, 150.0]),
-                           record_events=False)
+                           seed=9, observe_times=np.array([10.0, 150.0]))
     run = run_simulation(cfg)
     assert run.total_events == 1433052
     assert sha256_of(run.first_sale, run.last_sale) == (
