@@ -15,17 +15,17 @@ __version__ = "0.1.0"
 # environment before it does
 _PUBLIC = {
     "dist": ["SalesRateDistribution", "discrete_rates", "laplace_transform",
-             "load_rates_csv"],
+             "load_rates_csv", "save_rates_csv"],
     "special": ["gamma_recursion_shift", "upper_incomplete_gamma"],
-    "fit": ["FitOptions", "FitResult", "RankingTrajectory", "Regime", "chi2",
-            "classify_regime", "fit_pareto"],
+    "fit": ["Descent", "FitOptions", "FitResult", "RankingTrajectory", "Regime",
+            "RegimeReport", "chi2", "classify_regime", "fit_pareto"],
     "limit": ["DivergenceError", "SalesShareReport", "build_share_report", "invert_y_c",
               "nonstationary_joint_cdf", "q_of_r", "sales_share_potential",
               "sales_share_ranking", "stationary_joint_cdf", "x_c", "y_c",
               "y_c_short_time"],
-    "sim": ["CapacityError", "MissingSnapshotError", "SimulationConfig", "SimulationRun",
-            "empirical_joint_measure", "run_simulation", "synthesize_noisy_trajectory",
-            "x_c_trajectory"],
+    "sim": ["CapacityError", "SimulationConfig", "SimulationRun", "empirical_joint_measure",
+            "load_events_csv", "load_snapshot_csv", "run_simulation",
+            "synthesize_noisy_trajectory"],
 }
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -105,7 +105,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _load_sim_config(path: str) -> SimulationConfig:
+def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
+    """The run a config file describes, and whether it asks for snapshots."""
     required = {"n_items", "a", "b", "horizon", "seed", "observe_every"}
     optional = {"gamma", "track_item", "snapshots", "max_events"}
     values: dict[str, str] = {}
@@ -124,13 +125,18 @@ def _load_sim_config(path: str) -> SimulationConfig:
     missing = required - values.keys()
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(sorted(missing))}")
-    n_items = int(values["n_items"])
-    a, b = float(values["a"]), float(values["b"])
-    gamma = float(values.get("gamma", "0"))
-    horizon = float(values["horizon"])
-    every = float(values["observe_every"])
-    if not (every > 0.0 and 0.0 < horizon < math.inf):
-        raise ValueError(f"{path}: need observe_every > 0 and a finite horizon > 0")
+
+    def number(key, kind=float, default=None):
+        try:
+            return kind(values.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+
+    n_items = number("n_items", int)
+    a, b, gamma = number("a"), number("b"), number("gamma", default="0")
+    horizon, every = number("horizon"), number("observe_every")
+    if not (0.0 < every < math.inf and 0.0 < horizon < math.inf):
+        raise ValueError(f"{path}: need finite observe_every > 0 and horizon > 0")
     stop = horizon * (1.0 + 1e-12)
     if (stop - every) / every >= _MAX_GRID_POINTS:
         raise ValueError(f"{path}: horizon/observe_every asks for more than "
@@ -140,8 +146,7 @@ def _load_sim_config(path: str) -> SimulationConfig:
     if snapshots not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError(f"{path}: snapshots must be 1, true, yes, 0, false or no, "
                          f"got {values['snapshots']!r}")
-    track = values.get("track_item")
-    track_item = int(track) if track not in (None, "") else None
+    track_item = number("track_item", int) if values.get("track_item") else None
     initial_order = None
     if track_item is not None:
         # the tracked item plays the just-sold observer: it starts at rank 1
@@ -154,21 +159,20 @@ def _load_sim_config(path: str) -> SimulationConfig:
     return SimulationConfig(
         rates=discrete_rates(n_items, a, b, gamma),
         horizon=horizon,
-        seed=int(values["seed"]),
+        seed=number("seed", int),
         observe_times=observe_times,
         initial_order=initial_order,
         track_item=track_item,
-        record_snapshots=snapshots in ("1", "true", "yes"),
-        max_events=float(values.get("max_events", "1e8")),
-    )
+        max_events=number("max_events", default="1e8"),
+    ), snapshots in ("1", "true", "yes")
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_sim_config(args.config)
+    cfg, snapshots = _load_sim_config(args.config)
     events_path = f"{args.output_prefix}_events.csv"
     traj_path = f"{args.output_prefix}_trajectory.csv"
     snap_paths = [f"{args.output_prefix}_snapshot_{k:04d}.csv"
-                  for k in range(cfg.observe_times.size if cfg.record_snapshots else 0)]
+                  for k in range(cfg.observe_times.size if snapshots else 0)]
     for path in (events_path, traj_path, *snap_paths):
         _ensure_writable(path, args.force)  # before the run, so nothing is half written
     unwritten, written = iter(snap_paths), []
@@ -185,7 +189,7 @@ def _cmd_simulate(args) -> int:
     try:
         with create(events_path, ["t", "item"]) as fh:
             run = run_simulation(cfg, sink=lambda t, i: write_rows(fh, "%.12g,%d", t, i),
-                                 snapshot_sink=write_snapshot)
+                                 snapshot_sink=write_snapshot if snapshots else None)
         traj = run.tracked_trajectory
         if traj is not None:
             with create(traj_path, TRAJECTORY_HEADER) as tfh:

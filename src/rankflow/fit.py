@@ -92,8 +92,8 @@ class FitOptions:
     max_iter: int = 2000
     workers: int = 1  # the benchmark's fit.pool_speedup pins the pool (ROADMAP item 4)
     weights: np.ndarray | None = None
-    # (n0, a0, b0) starting guesses; n0 is projected out, so only (a0, b0) is used
-    extra_starts: list[tuple[float, float, float]] = field(default_factory=list)
+    # (a0, b0) starting guesses; N needs none, it is projected out at every point
+    extra_starts: list[tuple[float, float]] = field(default_factory=list)
 
 
 class Descent(NamedTuple):
@@ -295,7 +295,7 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     low_side = [grid[i] for i in order if grid[i][1] < 1.0][:_STARTS_PER_SIDE]
     high_side = [grid[i] for i in order if grid[i][1] > 1.0][:_STARTS_PER_SIDE]
     starts = low_side + high_side
-    for _, a0, b0 in opts.extra_starts:
+    for a0, b0 in opts.extra_starts:
         starts.append(np.array([math.log(a0), float(b0)]))
 
     jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter) for x0 in starts]

@@ -27,11 +27,9 @@ from .limit import y_c
 
 __all__ = [
     "CapacityError",
-    "MissingSnapshotError",
     "SimulationConfig",
     "SimulationRun",
     "run_simulation",
-    "x_c_trajectory",
     "empirical_joint_measure",
     "synthesize_noisy_trajectory",
     "load_events_csv",
@@ -46,10 +44,6 @@ class CapacityError(RuntimeError):
     """Expected event count exceeds the configured cap."""
 
 
-class MissingSnapshotError(KeyError):
-    """No ranking snapshot was recorded at the requested time."""
-
-
 @dataclass
 class SimulationConfig:
     """Inputs of one run; identical configs give bit-identical runs.
@@ -57,7 +51,7 @@ class SimulationConfig:
     ``rates`` are per-item sales rates (1/hour); ``initial_order`` is the
     rank permutation at t = 0 (1-based ranks, default: item i starts at
     rank i + 1). ``observe_times`` is the sorted grid where the boundary,
-    the tracked item, and optional full snapshots are recorded.
+    the tracked item, and a snapshot sink's full rankings are recorded.
     """
 
     rates: np.ndarray
@@ -66,7 +60,6 @@ class SimulationConfig:
     observe_times: np.ndarray = field(default_factory=lambda: np.array([]))
     initial_order: np.ndarray | None = None
     track_item: int | None = None
-    record_snapshots: bool = False
     max_events: float = 1e8
 
     def __post_init__(self):
@@ -114,7 +107,6 @@ class SimulationRun:
     event_items: np.ndarray
     observe_times: np.ndarray
     boundary_counts: np.ndarray       # ever-sold count at each observe time
-    snapshots: dict[float, np.ndarray]  # empty when a snapshot_sink took them
     tracked_trajectory: RankingTrajectory | None
     generator: str = _GENERATOR_NAME
 
@@ -125,12 +117,6 @@ class SimulationRun:
     def y_c_boundary(self) -> np.ndarray:
         """Scaled ever-sold boundary at the observation grid."""
         return self.boundary_counts / self.config.n_items
-
-    def snapshot_at(self, t: float) -> np.ndarray:
-        for key, ranks in self.snapshots.items():
-            if math.isclose(key, t, rel_tol=1e-12, abs_tol=1e-12):
-                return ranks
-        raise MissingSnapshotError(f"no snapshot recorded at t={t}")
 
 
 def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +188,7 @@ class _State:
         self.last_seq = np.full(n, -1, dtype=np.int64)
         self.boundary: list[int] = []
         self.tracked_ranks: list[float] = []
-        self.snapshots: dict[float, np.ndarray] = {}
-        self.snapshot_sink = snapshot_sink or self.snapshots.__setitem__
+        self.snapshot_sink = snapshot_sink
         # position of each item within the never-sold block
         self.init_rank = cfg.initial_order
 
@@ -218,7 +203,7 @@ class _State:
         ti = self.cfg.track_item
         if ti is not None:
             self.tracked_ranks.append(float(self._rank_of(ti, n_sold)))
-        if self.cfg.record_snapshots:
+        if self.snapshot_sink is not None:
             self.snapshot_sink(theta, self._all_ranks())
 
     def _rank_of(self, item: int, n_sold: int) -> int:
@@ -247,9 +232,10 @@ def run_simulation(config: SimulationConfig, sink=None,
     ``sink(times, items)``, when given, receives each chunk of events after
     the chunk is applied, so a caller can stream the log instead of keeping
     it: the run's ``event_times`` and ``event_items`` are then empty.
-    ``snapshot_sink(theta, ranks)`` likewise receives each full ranking of a
-    ``record_snapshots`` run when it is taken, and the run keeps none in
-    ``snapshots``. Neither changes the draws.
+    ``snapshot_sink(theta, ranks)``, when given, receives the full ranking
+    at every observation time, in order and repeated times included, as a
+    new array that it may keep (``ranks[i]`` is item i's 1-based rank);
+    without it no ranking is taken. Neither sink changes the draws.
     """
     rates = config.rates
     total_rate = float(rates.sum())
@@ -316,39 +302,21 @@ def run_simulation(config: SimulationConfig, sink=None,
         event_items=np.concatenate(ev_items),
         observe_times=obs.copy(),
         boundary_counts=np.array(state.boundary, dtype=np.int64),
-        snapshots=state.snapshots,
         tracked_trajectory=tracked,
     )
 
 
-def x_c_trajectory(run: SimulationRun, item: int) -> RankingTrajectory:
-    """(time, rank) series of one item at the run's observation grid."""
-    if not 0 <= item < run.n_items:
-        raise IndexError(f"item {item} out of range")
-    if run.config.track_item == item and run.tracked_trajectory is not None:
-        return run.tracked_trajectory
-    if run.snapshots:
-        ts, ranks = [], []
-        for theta in run.observe_times:
-            ts.append(theta)
-            ranks.append(float(run.snapshot_at(theta)[item]))
-        return RankingTrajectory(np.array(ts), np.array(ranks),
-                                 meta=f"item {item} from snapshots")
-    raise ValueError("item was not tracked and no snapshots were recorded")
-
-
-def empirical_joint_measure(run: SimulationRun, t: float,
-                            y_bins, w_bins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint (rate, scaled rank) histogram at a snapshot time.
+def empirical_joint_measure(rates, ranks, y_bins,
+                            w_bins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint (rate, scaled rank) histogram of one ranking, as a snapshot sink gets it.
 
     Returns (H, w_edges, y_edges) with H[i, j] the item fraction whose rate
     falls in w-bin i and scaled rank (X - 1)/N in y-bin j; total mass 1
     when the bins cover everything.
     """
-    ranks = run.snapshot_at(t)
-    n = run.n_items
-    scaled = (ranks - 1.0) / n
-    h, w_edges, y_edges = np.histogram2d(run.config.rates, scaled,
+    n = len(rates)
+    scaled = (np.asarray(ranks) - 1.0) / n
+    h, w_edges, y_edges = np.histogram2d(rates, scaled,
                                          bins=[np.asarray(w_bins), np.asarray(y_bins)])
     return h / n, w_edges, y_edges
 

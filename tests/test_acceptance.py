@@ -161,13 +161,14 @@ def test_criterion_8_stationary_joint_measure():
     d = SalesRateDistribution.pareto(1.0, 1.5)
     t_snap = 5.0  # boundary has swept past y = 0.8 by then
     cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
-                           seed=99, observe_times=np.array([t_snap]),
-                           record_snapshots=True)
-    run = run_simulation(cfg, sink=lambda t, i: None)
+                           seed=99, observe_times=np.array([t_snap]))
+    taken = []
+    run_simulation(cfg, sink=lambda t, i: None,
+                   snapshot_sink=lambda t, r: taken.append((t, r)))
     w_bins = np.array([1.0, 2.0 ** (2.0 / 3.0), 4.0 ** (2.0 / 3.0),
                        10.0 ** (2.0 / 3.0), np.inf])
     y_bins = np.array([0.0, 0.2, 0.4, 0.6, 0.8])
-    h, _, _ = empirical_joint_measure(run, t_snap, y_bins, w_bins)
+    h, _, _ = empirical_joint_measure(cfg.rates, taken[0][1], y_bins, w_bins)
     tol = 4.0 / math.sqrt(n)
     worst = 0.0
     for i in range(4):

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankflow
 import rankflow.cli as cli
 from rankflow._csvio import _BLOCK, write_rows
 from rankflow.dist import SalesRateDistribution, discrete_rates, save_rates_csv
@@ -305,15 +307,17 @@ class TestSimulateCommand:
                          track_item=7, snapshots=1)
         prefix = tmp_path / "run"
         assert cli.main(["simulate", str(config), "-o", str(prefix)]) == 0
-        cfg = cli._load_sim_config(str(config))
-        run = run_simulation(cfg)
+        cfg, snapshots = cli._load_sim_config(str(config))
+        assert snapshots
+        taken = []
+        run = run_simulation(cfg, snapshot_sink=lambda t, r: taken.append((t, r)))
         assert run.total_events > 2 ** 19  # more than one chunk
         events = csv_writer_text(["t", "item"],
                                  ([f"{t:.12g}", int(i)] for t, i in
                                   zip(run.event_times, run.event_items)))
         assert read_raw(f"{prefix}_events.csv") == events
-        for k, theta in enumerate(run.observe_times):
-            ranks = run.snapshot_at(theta)
+        assert len(taken) == run.observe_times.size
+        for k, (_, ranks) in enumerate(taken):
             snap = csv_writer_text(["item", "w", "rank"],
                                    ([i, f"{cfg.rates[i]:.12g}", int(ranks[i])]
                                     for i in range(run.n_items)))
@@ -455,6 +459,20 @@ class TestSimulateCommand:
                          track_item=0, snapshots="YES")
         assert cli.main(["simulate", str(config), "-o", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run_snapshot_0001.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("observe_every", "inf"), ("n_items", "1e3"),
+                                            ("seed", "1.5"), ("track_item", "x"), ("a", "")])
+    def test_bad_number_names_the_file_and_the_key(self, tmp_path, capsys, key, value):
+        # observe_every = inf died in numpy's arange, and 1e3 or 1.5 as an
+        # integer printed int()'s message with neither the file nor the key
+        config = tmp_path / "bad.cfg"
+        values = dict(n_items=10, horizon=1.0, observe_every=1.0, track_item=0)
+        write_sim_config(config, **{**values, key: value})
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("rankflow: error:") and err.count("\n") == 1
+        assert str(config) in err and key in err
+        assert not (tmp_path / "x_events.csv").exists()
 
     def test_capacity_error_leaves_no_event_log(self, tmp_path, capsys):
         config = tmp_path / "cap.cfg"
@@ -679,6 +697,16 @@ class TestStartUp:
 
     def test_user_setting_wins(self):
         assert self.run_driver(OPENBLAS_NUM_THREADS="2")[2] == "2"
+
+    def test_lazy_exports_match_the_modules(self):
+        # the table of names that `import rankflow` resolves on first use
+        # lists each module's __all__, so a name removed from a module fails
+        # here, not at a user's first attribute access
+        for module, names in rankflow._PUBLIC.items():
+            mod = importlib.import_module(f"rankflow.{module}")
+            assert sorted(names) == sorted(mod.__all__), module
+        for name in rankflow.__all__:
+            assert getattr(rankflow, name) is not None
 
 
 class TestOracleCommand:

@@ -160,8 +160,7 @@ class TestFit:
     def test_idempotent_refit(self):
         traj = low_fixture(40, sigma=5e3, seed=6)
         first = fit_pareto(traj)
-        again = fit_pareto(traj, FitOptions(
-            extra_starts=[(first.n_star, first.a_star, first.b_star)]))
+        again = fit_pareto(traj, FitOptions(extra_starts=[(first.a_star, first.b_star)]))
         assert abs(again.chi2 - first.chi2) <= 1e-9 * first.chi2
 
     def test_combined_series_second_parameter_set(self):
@@ -222,7 +221,7 @@ class TestConvergedFlag:
     def test_flag_describes_returned_optimum(self, monkeypatch, winner_ok, polish_ok,
                                              polish_worse, expected):
         # every other start converges; only the returned descent decides
-        n0, a0, b0 = LOW
+        _, a0, b0 = LOW
         winner = np.array([math.log(a0), b0])
         calls = []
 
@@ -237,7 +236,7 @@ class TestConvergedFlag:
                                    success=winner_ok or not np.allclose(x0, winner))
 
         monkeypatch.setattr(rankflow.fit, "minimize", scripted_minimize)
-        res = fit_pareto(low_fixture(30), FitOptions(extra_starts=[(n0, a0, b0)]))
+        res = fit_pareto(low_fixture(30), FitOptions(extra_starts=[(a0, b0)]))
         assert len(calls) == 8
         assert np.allclose(calls[-1], winner)
         assert res.b_star == b0

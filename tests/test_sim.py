@@ -1,5 +1,6 @@
 """Finite-N simulator: exactness of the dynamics and convergence to the limit."""
 
+import dataclasses
 import hashlib
 import math
 import platform
@@ -14,25 +15,28 @@ from rankflow.limit import stationary_joint_cdf, y_c
 from rankflow.sim import (
     CapacityError,
     _build_alias,
-    MissingSnapshotError,
     SimulationConfig,
     empirical_joint_measure,
     load_events_csv,
     load_snapshot_csv,
     run_simulation,
     synthesize_noisy_trajectory,
-    x_c_trajectory,
 )
 
 LOW_A, LOW_B = 3.939e-4, 0.6312
 
 
+def with_rankings(cfg):
+    """A run and the (time, ranks) pairs that its snapshot sink received."""
+    taken = []
+    return run_simulation(cfg, snapshot_sink=lambda t, r: taken.append((t, r))), taken
+
+
 def small_run(**overrides):
     kwargs = dict(rates=discrete_rates(300, 0.05, 0.8), horizon=30.0, seed=11,
-                  observe_times=np.linspace(0.0, 30.0, 16), track_item=123,
-                  record_snapshots=True)
+                  observe_times=np.linspace(0.0, 30.0, 16), track_item=123)
     kwargs.update(overrides)
-    return run_simulation(SimulationConfig(**kwargs))
+    return with_rankings(SimulationConfig(**kwargs))
 
 
 def test_single_item_always_rank_one():
@@ -62,15 +66,15 @@ def test_determinism_bit_identical():
 
 
 def test_snapshots_are_permutations():
-    run = small_run()
-    for ranks in run.snapshots.values():
+    run, taken = small_run()
+    assert len(taken) == run.observe_times.size
+    for _, ranks in taken:
         assert np.array_equal(np.sort(ranks), np.arange(1, run.n_items + 1))
 
 
 def test_boundary_separates_sold_from_never_sold():
-    run = small_run()
-    for theta, count in zip(run.observe_times, run.boundary_counts):
-        ranks = run.snapshot_at(theta)
+    run, taken = small_run()
+    for (theta, ranks), count in zip(taken, run.boundary_counts):
         sold = run.first_sale <= theta
         assert int(sold.sum()) == count
         if sold.any():
@@ -80,14 +84,14 @@ def test_boundary_separates_sold_from_never_sold():
 
 
 def test_tracked_rank_agrees_with_snapshots():
-    run = small_run()
-    from_snapshots = [float(run.snapshot_at(t)[123]) for t in run.observe_times]
+    run, taken = small_run()
+    from_snapshots = [float(ranks[123]) for _, ranks in taken]
     np.testing.assert_allclose(run.tracked_trajectory.ranks, from_snapshots)
 
 
 def test_tracked_rank_resets_and_climbs():
-    run = small_run(track_item=0, horizon=60.0,
-                    observe_times=np.linspace(0.0, 60.0, 400))
+    run, _ = small_run(track_item=0, horizon=60.0,
+                       observe_times=np.linspace(0.0, 60.0, 400))
     traj = run.tracked_trajectory.ranks
     own_sales = run.event_times[run.event_items == 0]
     assert own_sales.size > 0
@@ -107,10 +111,10 @@ def test_tracked_rank_resets_and_climbs():
 def test_initial_order_respected_before_any_sale():
     order = np.array([3, 1, 2], dtype=np.int64)
     cfg = SimulationConfig(rates=np.array([1e-9, 1e-9, 1e-9]), horizon=1.0,
-                           seed=0, observe_times=np.array([0.5]),
-                           initial_order=order, record_snapshots=True)
-    run = run_simulation(cfg)
-    np.testing.assert_array_equal(run.snapshot_at(0.5), order)
+                           seed=0, observe_times=np.array([0.5]), initial_order=order)
+    _, taken = with_rankings(cfg)
+    assert len(taken) == 1
+    np.testing.assert_array_equal(taken[0][1], order)
 
 
 def test_capacity_error():
@@ -118,23 +122,6 @@ def test_capacity_error():
                            max_events=1e6)
     with pytest.raises(CapacityError):
         run_simulation(cfg)
-
-
-def test_x_c_trajectory_fallbacks():
-    run = small_run()
-    other = x_c_trajectory(run, 5)
-    assert other.n_d == run.observe_times.size
-    no_snap = small_run(record_snapshots=False, track_item=None)
-    with pytest.raises(ValueError):
-        x_c_trajectory(no_snap, 5)
-    with pytest.raises(IndexError):
-        x_c_trajectory(run, 10 ** 9)
-
-
-def test_missing_snapshot_error():
-    run = small_run()
-    with pytest.raises(MissingSnapshotError):
-        run.snapshot_at(123.456)
 
 
 def test_boundary_converges_to_limit_curve():
@@ -151,9 +138,10 @@ def test_boundary_converges_to_limit_curve():
 
 
 def test_joint_measure_rank_marginal_is_uniform():
-    run = small_run(horizon=50.0, observe_times=np.array([40.0]), track_item=None)
+    run, taken = small_run(horizon=50.0, observe_times=np.array([40.0]), track_item=None)
     y_edges = np.linspace(0.0, 1.0, 6)
-    h, _, _ = empirical_joint_measure(run, 40.0, y_edges, np.array([0.0, np.inf]))
+    h, _, _ = empirical_joint_measure(run.config.rates, taken[0][1], y_edges,
+                                      np.array([0.0, np.inf]))
     np.testing.assert_allclose(h.sum(), 1.0)
     np.testing.assert_allclose(h[0], 0.2, atol=2.0 / 300)
 
@@ -165,12 +153,11 @@ def test_joint_measure_product_form_at_time_zero():
     rates = discrete_rates(n, 1.0, 1.5)
     order = rng.permutation(n).astype(np.int64) + 1
     cfg = SimulationConfig(rates=rates, horizon=1.0, seed=1,
-                           observe_times=np.array([0.0]), initial_order=order,
-                           record_snapshots=True)
-    run = run_simulation(cfg)
+                           observe_times=np.array([0.0]), initial_order=order)
+    _, taken = with_rankings(cfg)
     w_edges = np.array([1.0, 2.0, np.inf])
     y_edges = np.array([0.0, 0.5, 1.0])
-    h, _, _ = empirical_joint_measure(run, 0.0, y_edges, w_edges)
+    h, _, _ = empirical_joint_measure(rates, taken[0][1], y_edges, w_edges)
     w_marg = h.sum(axis=1)
     y_marg = h.sum(axis=0)
     for i in range(2):
@@ -189,9 +176,9 @@ def test_joint_measure_matches_nonstationary_formula():
     order = rng.permutation(n).astype(np.int64) + 1
     cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
                            seed=31, observe_times=np.array([t_snap]),
-                           initial_order=order, record_snapshots=True)
-    run = run_simulation(cfg)
-    ranks = run.snapshot_at(t_snap)
+                           initial_order=order)
+    _, taken = with_rankings(cfg)
+    ranks = taken[0][1]
     scaled = (ranks - 1.0) / n
     y_probe = 0.9
     assert y_probe > y_c(d, t_snap)
@@ -206,12 +193,11 @@ def test_joint_measure_matches_stationary_formula_mid_scale():
     d = SalesRateDistribution.pareto(1.0, 1.5)
     t_snap = 5.0
     cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
-                           seed=12, observe_times=np.array([t_snap]),
-                           record_snapshots=True)
-    run = run_simulation(cfg)
+                           seed=12, observe_times=np.array([t_snap]))
+    _, taken = with_rankings(cfg)
     w_bins = np.array([1.0, 2.0, np.inf])
     y_bins = np.array([0.0, 0.3, 0.7])
-    h, _, _ = empirical_joint_measure(run, t_snap, y_bins, w_bins)
+    h, _, _ = empirical_joint_measure(cfg.rates, taken[0][1], y_bins, w_bins)
     for i in range(2):
         for j in range(2):
             hi = stationary_joint_cdf(d, y_bins[j + 1], w_bins[i], w_bins[i + 1])
@@ -318,18 +304,26 @@ def test_sink_streams_the_recorded_events():
     assert quiet.event_items.dtype == np.int64 and quiet.event_items.size == 0
 
 
-def test_snapshot_sink_receives_the_rankings_instead_of_the_run():
+def test_snapshot_sink_receives_the_rankings_instead_of_the_run(monkeypatch):
+    # a ranking is taken at every observation time, in order and repeated or
+    # near-equal times included, if and only if the run is given a sink
     taken = []
     cfg = SimulationConfig(rates=discrete_rates(300, 0.05, 0.8), horizon=30.0, seed=11,
-                           observe_times=np.linspace(0.0, 30.0, 16), record_snapshots=True)
+                           observe_times=[0.0, 1.0, 1.0, 1.0 + 1e-13, 2.0, 30.0])
     streamed = run_simulation(cfg, snapshot_sink=lambda theta, ranks:
                               taken.append((theta, ranks)))
-    recorded = run_simulation(cfg)
-    assert streamed.snapshots == {} and len(taken) == recorded.observe_times.size
-    for (theta, ranks), want in zip(taken, recorded.observe_times):
-        assert theta == want
-        np.testing.assert_array_equal(ranks, recorded.snapshot_at(want))
-    np.testing.assert_array_equal(streamed.first_sale, recorded.first_sale)
+    assert [theta for theta, _ in taken] == cfg.observe_times.tolist()
+    assert taken[1][1] is not taken[2][1]
+    np.testing.assert_array_equal(taken[1][1], taken[2][1])
+
+    def no_ranking(self):
+        raise AssertionError("a run without a snapshot sink took a ranking")
+
+    monkeypatch.setattr(sim_module._State, "_all_ranks", no_ranking)
+    plain = run_simulation(cfg)
+    np.testing.assert_array_equal(plain.event_times, streamed.event_times)
+    np.testing.assert_array_equal(plain.first_sale, streamed.first_sale)
+    np.testing.assert_array_equal(plain.boundary_counts, streamed.boundary_counts)
 
 
 def sha256_of(*arrays):
@@ -434,17 +428,21 @@ def test_bookkeeping_matches_move_to_front_replay(monkeypatch, chunk):
     rng = np.random.default_rng(5)
     rates = np.concatenate((np.geomspace(0.02, 4.0, 13), [1e-9]))  # the last never sells
     observe = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 800.0, 60)), [800.0]))
+    observe = np.sort(np.r_[observe, observe[[0, 30, 30, -1]]])  # repeated times too
     cfg = SimulationConfig(rates=rates, horizon=800.0, seed=3,
                            initial_order=rng.permutation(rates.size) + 1,
-                           observe_times=observe, track_item=0, record_snapshots=True)
-    run = run_simulation(cfg)
+                           observe_times=observe)
+    run, taken = with_rankings(cfg)
     assert run.total_events > 20 * (chunk or 1)
     boundary, snapshots, first, last = _replay_move_to_front(run)
     np.testing.assert_array_equal(run.boundary_counts, boundary)
-    for theta, ranks in zip(run.observe_times, snapshots):
-        np.testing.assert_array_equal(run.snapshot_at(theta), ranks)
-    np.testing.assert_array_equal(run.tracked_trajectory.ranks,
-                                  [float(r[0]) for r in snapshots])
+    assert [t for t, _ in taken] == observe.tolist()
+    for (_, ranks), want in zip(taken, snapshots, strict=True):
+        np.testing.assert_array_equal(ranks, want)
+    distinct, first_of = np.unique(observe, return_index=True)
+    tracked = run_simulation(dataclasses.replace(cfg, observe_times=distinct, track_item=0))
+    np.testing.assert_array_equal(tracked.tracked_trajectory.ranks,
+                                  [float(snapshots[k][0]) for k in first_of])
     np.testing.assert_array_equal(run.first_sale, first)
     np.testing.assert_array_equal(run.last_sale, last)
     assert boundary[0] == 0 and math.isinf(first[-1])
