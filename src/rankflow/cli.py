@@ -132,7 +132,9 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
         except ValueError as exc:
             raise ValueError(f"{path}: {key}: {exc}") from None
 
-    n_items = number("n_items", int)
+    n_items, seed = number("n_items", int), number("seed", int)
+    if seed < 0:
+        raise ValueError(f"{path}: seed must be a non-negative integer, got {seed}")
     a, b, gamma = number("a"), number("b"), number("gamma", default="0")
     horizon, every = number("horizon"), number("observe_every")
     if not (0.0 < every < math.inf and 0.0 < horizon < math.inf):
@@ -159,7 +161,7 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
     return SimulationConfig(
         rates=discrete_rates(n_items, a, b, gamma),
         horizon=horizon,
-        seed=number("seed", int),
+        seed=seed,
         observe_times=observe_times,
         initial_order=initial_order,
         track_item=track_item,

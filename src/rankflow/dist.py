@@ -142,7 +142,7 @@ class SalesRateDistribution:
                              f"range at b = {b:g}; raise r1 or b") from None
 
 
-def _pareto_p(b: float, q: np.ndarray) -> np.ndarray:
+def _pareto_p(b, q: np.ndarray) -> np.ndarray:
     """P(q) = q^b Gamma(1-b, q) on an array of q >= 0, for any b in (0, 2].
 
     Every power-law quantity is built from P on the dimensionless q = a t:
@@ -156,11 +156,12 @@ def _pareto_p(b: float, q: np.ndarray) -> np.ndarray:
     1 there.
     """
     q = np.asarray(q, dtype=float)
-    out = np.where(q > UNDERFLOW_P, np.exp(-q), 0.0)
+    bq = np.asarray(b)[:, None] if np.ndim(b) else b  # k b's: one per row of a (k, n) q
     live = (q > 0.0) & (q <= UNDERFLOW_P)
-    ql = q[live]
-    out[live] = np.exp(b * np.log(ql)) * _gamma_upper_grid(1.0 - b, ql)
-    return out
+    # lanes outside (0, UNDERFLOW_P] get q^b = 1 and Gamma = 0 (the kernel skips p = inf)
+    g = _gamma_upper_grid(1.0 - b, np.where(live, q, np.inf))
+    p = np.exp(bq * np.log(np.where(live, q, 1.0))) * g
+    return np.where(q > UNDERFLOW_P, np.exp(-q), p)
 
 
 def _pareto_laplace(b: float, q: np.ndarray) -> np.ndarray:

@@ -90,7 +90,7 @@ class RankingTrajectory:
 @dataclass
 class FitOptions:
     max_iter: int = 2000
-    workers: int = 1  # the benchmark's fit.pool_speedup pins the pool (ROADMAP item 4)
+    workers: int = 1  # > 1: the starts split into this many lockstep groups, a process each
     weights: np.ndarray | None = None
     # (a0, b0) starting guesses; N needs none, it is projected out at every point
     extra_starts: list[tuple[float, float]] = field(default_factory=list)
@@ -151,42 +151,39 @@ def chi2(traj: RankingTrajectory, n: float, a: float, b: float,
     return float(resid @ resid)
 
 
-def _projected(x, times: np.ndarray, ranks: np.ndarray,
-               weights: np.ndarray | None) -> tuple[float, float]:
-    """(chi^2, N) at x = (log a, b), with N = (y.W^2 r)/(y.W^2 y) the exact
-    least-squares scale of the curve y; chi^2 is 1e300 outside the domain."""
-    ln_a, b = x
-    if not (_B_GUARD < b < 2.0) or abs(b - 1.0) < _B_GUARD or not -700.0 < ln_a < 700.0:
-        return 1e300, math.nan
-    y = _pareto_y_grid(math.exp(ln_a), b, times)
+def _projected_all(xs, times: np.ndarray, ranks: np.ndarray,
+                   weights: np.ndarray | None) -> list[tuple[float, float]]:
+    """(chi^2, N) at each x = (log a, b), from one curve call, with N = (y.W^2 r)/
+    (y.W^2 y) the exact least-squares scale of y; chi^2 is 1e300 outside the domain."""
+    out = [(1e300, math.nan)] * len(xs)
+    inside = [j for j, (ln_a, b) in enumerate(xs) if _B_GUARD < b < 2.0
+              and abs(b - 1.0) >= _B_GUARD and -700.0 < ln_a < 700.0]
+    curves = _pareto_y_grid(np.array([math.exp(xs[j][0]) for j in inside]),
+                            np.array([float(xs[j][1]) for j in inside]), times)
     if weights is not None:
-        y, ranks = y * weights, ranks * weights
-    yy = float(y @ y)
-    n = float(y @ ranks) / yy if yy > 0.0 else math.nan
-    if not 0.0 < n < math.inf:
-        return 1e300, n
-    resid = ranks - n * y
-    return float(resid @ resid), n
+        curves, ranks = curves * weights, ranks * weights
+    for j, y in zip(inside, curves):  # row by row, each as a 1-d product
+        yy = float(y @ y)
+        n = float(y @ ranks) / yy if yy > 0.0 else math.nan
+        resid = ranks - n * y if 0.0 < n < math.inf else None
+        out[j] = (1e300, n) if resid is None else (float(resid @ resid), n)
+    return out
 
 
 def _objective(x, times: np.ndarray, ranks: np.ndarray,
                weights: np.ndarray | None) -> float:
-    return _projected(x, times, ranks, weights)[0]
+    return _projected_all([x], times, ranks, weights)[0][0]
 
 
 class _BudgetSpent(Exception):
-    """The objective was called once more after maxfev evaluations."""
+    """The objective was asked for once more after maxfev evaluations."""
 
 
-def minimize(fun, x0, args=(), *, maxiter: int, maxfev: int, xatol: float,
-             fatol: float) -> SimpleNamespace:
-    """Nelder-Mead minimum of ``fun(x, *args)`` from ``x0``.
-
-    Step for step the non-adaptive method of ``scipy.optimize.minimize(
-    method="Nelder-Mead")``: the same initial simplex, coefficients, vertex
-    order, stopping test and budget flags, so both give the same x, fun and
-    nfev. Returns a namespace with ``x``, ``fun``, ``success`` (the xatol and
-    fatol test passed before maxiter or maxfev ran out) and ``nfev``.
+def _simplex(x0, *, maxiter: int, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead from ``x0`` as a generator that yields each point and is sent
+    its value: step for step scipy's non-adaptive ``minimize(method="Nelder-Mead")``
+    (the same simplex, coefficients, vertex order, stopping test and budget flags).
+    Returns ``x``, ``fun``, ``nfev`` and ``success`` (xatol and fatol met in budget).
     """
     nfev = 0
 
@@ -195,69 +192,95 @@ def minimize(fun, x0, args=(), *, maxiter: int, maxfev: int, xatol: float,
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(x, *args)
+        return (yield x)
 
-    x0 = np.asarray(x0, dtype=float).ravel()
-    dim = x0.size
-    sim = np.tile(x0, (dim + 1, 1))
-    for k in range(dim):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0.0 else 0.00025
-    fsim = np.full(dim + 1, np.inf)
+    # vertices are lists of floats: the same IEEE arithmetic as numpy 2-vectors,
+    # at a fraction of the overhead per step
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    dim = len(x0)
+    sim = [x0] + [[(1.05 * v if v != 0.0 else 0.00025) if j == k else v
+                   for j, v in enumerate(x0)] for k in range(dim)]
+    fsim = [math.inf] * (dim + 1)
     # coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2;
-    # the stable sort keeps scipy's vertex order on ties
+    # the stable sort keeps scipy's vertex order on ties, NaN last as in numpy
     try:
         for k in range(dim + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _BudgetSpent:
         pass
-    order = np.argsort(fsim, kind="stable")
-    sim, fsim = sim[order], fsim[order]
+    order = sorted(range(dim + 1), key=lambda j: (fsim[j] != fsim[j], fsim[j]))
+    sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, sim[0]))
+                and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
             break
         try:
-            xbar = np.add.reduce(sim[:-1], 0) / dim
-            xr = 2.0 * xbar - sim[-1]
-            fxr = f(xr)
+            xbar = sim[0]  # summed in numpy's order: row 0, then 1, ...
+            for x in sim[1:-1]:
+                xbar = [c + v for c, v in zip(xbar, x)]
+            xbar = [c / dim for c in xbar]
+            xr = [2.0 * c - w for c, w in zip(xbar, sim[-1])]
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
-                xe = 3.0 * xbar - 2.0 * sim[-1]
-                fxe = f(xe)
+                xe = [3.0 * c - 2.0 * w for c, w in zip(xbar, sim[-1])]
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, sim[-1])]
+                    fxc = yield from f(xc)
                     shrink = not fxc <= fxr
                 else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
+                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, sim[-1])]
+                    fxc = yield from f(xc)
                     shrink = not fxc < fsim[-1]
                 if shrink:
                     for j in range(1, dim + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(sim[0], sim[j])]
+                        fsim[j] = yield from f(sim[j])
                 else:
                     sim[-1], fsim[-1] = xc, fxc
             iterations += 1
         except _BudgetSpent:
             pass
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
+        order = sorted(range(dim + 1), key=lambda j: (fsim[j] != fsim[j], fsim[j]))
+        sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
     success = nfev < maxfev and iterations < maxiter
-    return SimpleNamespace(x=sim[0], fun=np.min(fsim), success=success, nfev=nfev)
+    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), success=success, nfev=nfev)
 
 
-def _descend(args) -> Descent:
-    x0, times, ranks, weights, max_iter = args
-    f0 = _objective(x0, times, ranks, weights)
-    res = minimize(_objective, x0, args=(times, ranks, weights), maxiter=max_iter,
-                   maxfev=4 * max_iter, xatol=_XATOL, fatol=1e-12 * (1.0 + abs(f0)))
-    return Descent(tuple(map(float, x0)), tuple(map(float, res.x)), float(res.fun),
-                   int(res.nfev), bool(res.success))
+def _lockstep(runs, evaluate) -> list:
+    """Drive :func:`_simplex` generators together to their results: each round
+    sends every live run its value and ``evaluate`` takes all their next points."""
+    ends, sent = {}, dict.fromkeys(range(len(runs)))  # None starts each generator
+    while sent:
+        pending = {}
+        for j, value in sent.items():
+            try:
+                pending[j] = runs[j].send(value)
+            except StopIteration as stop:
+                ends[j] = stop.value
+        sent = dict(zip(pending, evaluate(list(pending.values())))) if pending else {}
+    return [ends[j] for j in range(len(runs))]
+
+
+def minimize(fun, x0, args=(), **options) -> SimpleNamespace:
+    """Nelder-Mead minimum of ``fun(x, *args)`` from ``x0``: one :func:`_simplex` run."""
+    return _lockstep([_simplex(x0, **options)],
+                     lambda xs: [fun(np.array(x), *args) for x in xs])[0]
+
+
+def _descend_all(starts, fatols, times, ranks, weights, max_iter: int) -> list[Descent]:
+    """One simplex descent from each start, all run in lockstep: each round
+    evaluates the pending point of every live descent in one curve call."""
+    runs = [_simplex(x0, maxiter=max_iter, maxfev=4 * max_iter, xatol=_XATOL, fatol=fatol)
+            for x0, fatol in zip(starts, fatols)]
+    ends = _lockstep(runs, lambda xs: [c for c, _ in _projected_all(xs, times, ranks, weights)])
+    return [Descent(tuple(map(float, x0)), tuple(map(float, e.x)), float(e.fun), int(e.nfev),
+                    bool(e.success)) for x0, e in zip(starts, ends)]
 
 
 def _start_grid(traj: RankingTrajectory) -> list[np.ndarray]:
@@ -290,29 +313,33 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
             raise ValueError("weights must match the number of observations")
 
     grid = _start_grid(traj)
-    scores = np.array([_objective(x, traj.times, traj.ranks, weights) for x in grid])
-    order = np.argsort(scores)
-    low_side = [grid[i] for i in order if grid[i][1] < 1.0][:_STARTS_PER_SIDE]
-    high_side = [grid[i] for i in order if grid[i][1] > 1.0][:_STARTS_PER_SIDE]
-    starts = low_side + high_side
-    for a0, b0 in opts.extra_starts:
-        starts.append(np.array([math.log(a0), float(b0)]))
+    points = grid + [np.array([math.log(a0), float(b0)]) for a0, b0 in opts.extra_starts]
+    # every start's fatol is set by its score here, not by a re-evaluation
+    scores = [chi2 for chi2, _ in _projected_all(points, traj.times, traj.ranks, weights)]
+    order = np.argsort(scores[:len(grid)])
+    picked = ([i for i in order if grid[i][1] < 1.0][:_STARTS_PER_SIDE]
+              + [i for i in order if grid[i][1] > 1.0][:_STARTS_PER_SIDE]
+              + list(range(len(grid), len(points))))  # the extra starts
+    starts, fatols = [points[i] for i in picked], [1e-12 * (1.0 + abs(scores[i])) for i in picked]
 
-    jobs = [(x0, traj.times, traj.ranks, weights, opts.max_iter) for x0 in starts]
-    if opts.workers > 1 and len(jobs) > 1:
+    data = (traj.times, traj.ranks, weights, opts.max_iter)
+    if opts.workers > 1 and len(starts) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs start-up time
 
+        size = -(-len(starts) // opts.workers)
+        groups = [(starts[i:i + size], fatols[i:i + size], *data)
+                  for i in range(0, len(starts), size)]
         with ProcessPoolExecutor(max_workers=opts.workers) as pool:
-            outcomes = list(pool.map(_descend, jobs))
+            outcomes = [d for group in pool.map(_descend_all, *zip(*groups)) for d in group]
     else:
-        outcomes = [_descend(j) for j in jobs]
+        outcomes = _descend_all(starts, fatols, *data)
 
     best = min(outcomes, key=lambda o: o.chi2)
     # polish from the winner; also settles ties between nearby basins
-    polish = _descend((best.x, traj.times, traj.ranks, weights, opts.max_iter))
+    polish = _descend_all([best.x], [1e-12 * (1.0 + abs(best.chi2))], *data)[0]
     final = best if polish.chi2 > best.chi2 else polish  # its flag is the one reported
 
-    _, n_star = _projected(final.x, traj.times, traj.ranks, weights)
+    n_star = _projected_all([final.x], traj.times, traj.ranks, weights)[0][1]
     return FitResult(
         n_star=n_star, a_star=math.exp(final.x[0]), b_star=final.x[1], chi2=final.chi2,
         delta_y_c=math.sqrt(final.chi2 / traj.n_d) / n_star,

@@ -54,14 +54,14 @@ def y_c(dist: SalesRateDistribution, t):
     return 1.0 - laplace_transform(dist, t)
 
 
-def _pareto_y_grid(a: float, b: float, t: np.ndarray) -> np.ndarray:
+def _pareto_y_grid(a, b, t: np.ndarray) -> np.ndarray:
     """Unvalidated fast path for the power-law curve, used by the fitter.
 
     y = -expm1(-q) + P(q) with q = a t: a sum of two non-negative terms, so
     it keeps its relative accuracy at small q, and it is exactly 1 past the
-    Gamma underflow.
+    Gamma underflow. k values of a and b give k rows, each bit for bit its own curve.
     """
-    q = a * np.asarray(t, dtype=float)
+    q = np.multiply.outer(a, np.asarray(t, dtype=float))
     return -np.expm1(-q) + _pareto_p(b, q)
 
 

@@ -77,6 +77,10 @@ class SimulationConfig:
             raise ValueError("observe_times must be finite and sorted")
         if obs.size and (obs[0] < 0.0 or obs[-1] > self.horizon):
             raise ValueError("observe_times must lie within [0, horizon]")
+        if self.track_item is not None and np.any(np.diff(obs) == 0.0):
+            raise ValueError("observe_times must not repeat when an item is tracked")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         n = self.rates.size
         if self.initial_order is None:
             self.initial_order = np.arange(1, n + 1, dtype=np.int64)

@@ -65,6 +65,8 @@ _LGAMMA_COEF = (
     5.731367241678862e-10, 2.7595228851242334e-10)
 _ONE_MINUS_EULER = 0.42278433509846713
 _EULER = 0.5772156649015329
+# n! as doubles, rounded as in the Python product n! * float
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(40)])
 
 
 def _lgamma1p(z: float) -> float:
@@ -82,17 +84,6 @@ def _lgamma1p(z: float) -> float:
     for c in reversed(_LGAMMA_COEF):
         s = s * -z + c
     return z * (z * s + _ONE_MINUS_EULER) - math.log1p(z)
-
-
-def _series_head(z: float, logp):
-    """Gamma(z) - p^z/z, the n = 0 part of the series, from an array of ln p.
-
-    Written as -Gamma(1+z) expm1(z ln p - ln Gamma(1+z)) / z, which stays
-    accurate as z -> 0; at z = 0 it is the limit -euler - ln p.
-    """
-    if z == 0.0:
-        return -_EULER - logp
-    return -math.gamma(1.0 + z) * np.expm1(z * logp - _lgamma1p(z)) / z
 
 
 def _gamma_upper(z: float, p: float) -> float:
@@ -117,7 +108,7 @@ def _gamma_upper(z: float, p: float) -> float:
     return g
 
 
-def _gamma_upper_grid(z: float, p: np.ndarray) -> np.ndarray:
+def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
     """Vectorized Gamma(z, p) over an array of p > 0, for z in [-1, 1].
 
     This is the hot path for curve evaluation and the share functionals. At
@@ -127,47 +118,82 @@ def _gamma_upper_grid(z: float, p: np.ndarray) -> np.ndarray:
     by Horner's rule, with the count set by their largest p; lanes with
     p >= 1.5 evaluate the continued fraction backward (Numerical Recipes,
     3rd ed., 5.2), with the count set by their smallest p.
+
+    A z of shape (k,) with p of shape (k, n) gives each row at its own order,
+    bit for bit the call with that row alone: its own term counts, lift and head.
     """
     p = np.asarray(p, dtype=float)
+    rows = getattr(z, "ndim", 0) == 1
+    zr = z.tolist() if rows else [float(z)]  # one order per row
+
+    def col(v):  # a per-row constant: a float for one row, else a column
+        return v[0] if len(v) == 1 else np.array(v)[:, None]
+
     out = np.zeros(p.shape)
     live = p <= UNDERFLOW_P
     small = live & (p < _SERIES_CF_SPLIT)
-    if np.any(small):
-        ps = p[small]
+    if small.any():
+        # p = 1 stands in for a row call's lanes outside the series
+        ps = np.where(small, p, 1.0) if rows else p[small]
+        p_max = np.where(small, p, 0.0).max(axis=1).tolist() if rows else [float(ps.max())]
+        # the smallest m >= 1 with p_max^(m+1)/(m+1)! below _SERIES_TAIL, per row
+        m = [next(k for k in range(1, 39) if v ** (k + 1) / math.factorial(k + 1) < _SERIES_TAIL)
+             for v in p_max]
+        top = max(m)
         # toward z = -1 the head Gamma(z) ~ 1/(z+1) cancels against the sum
         # (4e-13 off at z = -0.99, 9e-14 at -0.89); the step down from z + 1,
         # Gamma(z, p) = (Gamma(z+1, p) - p^z e^-p) / z, stays within 2e-14
-        lift = z < _SERIES_LIFT_Z
-        zs = z + 1.0 if lift else z
-        p_max = float(ps.max())
-        m = 1
-        while p_max ** (m + 1) / math.factorial(m + 1) >= _SERIES_TAIL:
-            m += 1
-        # sum_{n=1..m} x^n / (n! (zs+n)) with x = -p, by Horner's rule
+        lift = [v < _SERIES_LIFT_Z for v in zr]
+        zs = [v + 1.0 if up else v for v, up in zip(zr, lift)]
+        # sum_{n=1..m} x^n / (n! (zs+n)) with x = -p, by Horner's rule; zeros
+        # above a row's m start its sum exactly at its own top coefficient
+        terms = np.arange(1.0, top + 1.0)
+        coef = 1.0 / (_FACTORIALS[1:top + 1] * (col(zs) + terms))
+        if min(m) < top:
+            coef[terms > col(m)] = 0.0
+        coef = coef.T[:, :, None] if len(zr) > 1 else coef  # a column per term
         x = -ps
-        total = np.full_like(ps, 1.0 / (math.factorial(m) * (zs + m)))
-        for n in range(m - 1, 0, -1):
+        total = np.full_like(ps, coef[top - 1])
+        for n in range(top - 1, 0, -1):
             total *= x
-            total += 1.0 / (math.factorial(n) * (zs + n))
+            total += coef[n - 1]
         total *= x
+        # the head Gamma(z) - p^z/z as -Gamma(1+z) expm1(z ln p - ln Gamma(1+z))/z,
+        # accurate as z -> 0; at z = 0 it is the limit -euler - ln p
         logp = np.log(ps)
-        gs = _series_head(zs, logp) - np.exp(zs * logp) * total
-        if lift:
-            gs = (gs - np.exp(z * logp - ps)) / z
-        out[small] = gs
+        g, lg, d = (col(c) for c in zip(*[(-math.gamma(1.0 + v), _lgamma1p(v), v) if v
+                                          else (0.0, 0.0, 1.0) for v in zs]))
+        zlogp = col(zs) * logp
+        gs = g * np.expm1(zlogp - lg) / d
+        gs = np.where(col([v == 0.0 for v in zs]), -_EULER - logp, gs) if 0.0 in zs else gs
+        gs -= np.exp(zlogp) * total
+        if any(lift):
+            # rows without the lift subtract 0 and divide by 1, exactly
+            gs = (gs - col(lift) * np.exp(col(zr) * logp - ps)) / col(
+                [v if up else 1.0 for v, up in zip(zr, lift)])
+        out[small] = gs[small] if rows else gs
 
     large = live & (p >= _SERIES_CF_SPLIT)
-    if np.any(large):
+    if large.any():
         pl = p[large]
-        n = math.ceil(_CF_TERMS_BASE + _CF_TERMS_SCALE / float(pl.min()))
+        at = np.nonzero(large)[0] if rows else 0  # each lane's row
+        p_min = np.where(large, p, np.inf).min(axis=1).tolist() if rows else [float(pl.min())]
+        n = np.array([math.ceil(_CF_TERMS_BASE + _CF_TERMS_SCALE / v) if v < math.inf else 0
+                      for v in p_min])
+        lanes_n, top, low = n[at], int(n.max()), int(n[n > 0].min())
         # f = b_{i-1} + a_i / f from i = n down to 1, with a_i = -i (i - z) and
-        # b_i = p + 1 - z + 2i; then Gamma(z, p) = p^z e^-p / f
-        f = pl + (1.0 - z + 2.0 * n)
-        for i in range(n, 0, -1):
-            np.divide(-i * (i - z), f, out=f)
+        # b_i = p + 1 - z + 2i; then Gamma(z, p) = p^z e^-p / f. Above a lane's
+        # own n each step resets it to its start value.
+        zl = np.array(zr)[at] if rows else zr[0]
+        c = 1.0 - zl
+        f = pl + (c + 2.0 * top)
+        for i in range(top, 0, -1):
+            np.divide(-i * (i - zl), f, out=f)
             f += pl
-            f += 1.0 - z + 2.0 * (i - 1)
-        out[large] = np.exp(z * np.log(pl) - pl) / f
+            f += c + 2.0 * (i - 1)
+            if i > low:
+                np.copyto(f, pl + (c + 2.0 * (i - 1)), where=lanes_n < i)
+        out[large] = np.exp(zl * np.log(pl) - pl) / f
 
     return out
 

@@ -474,6 +474,22 @@ class TestSimulateCommand:
         assert str(config) in err and key in err
         assert not (tmp_path / "x_events.csv").exists()
 
+    def test_negative_seed_is_rejected_before_the_rates(self, tmp_path, capsys, monkeypatch):
+        # numpy's bare "expected non-negative integer" came after the rates
+        # and the alias table were built
+        def no_rates(*args):
+            raise AssertionError("rates built for a config with a bad seed")
+
+        monkeypatch.setattr(cli, "discrete_rates", no_rates)
+        config = tmp_path / "bad.cfg"
+        write_sim_config(config, n_items=10, horizon=1.0, observe_every=1.0, track_item=0,
+                         seed=-1)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("rankflow: error:") and err.count("\n") == 1
+        assert str(config) in err and "seed" in err
+        assert not (tmp_path / "x_events.csv").exists()
+
     def test_capacity_error_leaves_no_event_log(self, tmp_path, capsys):
         config = tmp_path / "cap.cfg"
         write_sim_config(config, max_events=10)

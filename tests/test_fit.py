@@ -3,14 +3,13 @@
 import json
 import math
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 import rankflow.fit
 from rankflow.dist import SalesRateDistribution
 from rankflow.fit import (
+    Descent,
     FitOptions,
     FitResult,
     RankingTrajectory,
@@ -201,11 +200,13 @@ class TestFit:
                         "converged", "starts_tried"}
 
     def test_parallel_workers_match_serial(self):
+        # each worker runs its group of starts in lockstep, bit for bit as serial
         traj = low_fixture(30, sigma=5e3, seed=8)
         serial = fit_pareto(traj, FitOptions(workers=1))
         parallel = fit_pareto(traj, FitOptions(workers=4))
-        assert parallel.chi2 == pytest.approx(serial.chi2, rel=1e-12, abs=0.0)
-        assert parallel.b_star == pytest.approx(serial.b_star, abs=1e-12)
+        assert parallel == serial
+        assert parallel.n_star == serial.n_star
+        assert parallel.starts == serial.starts
 
 
 class TestConvergedFlag:
@@ -225,17 +226,20 @@ class TestConvergedFlag:
         winner = np.array([math.log(a0), b0])
         calls = []
 
-        def scripted_minimize(fun, x0, args, **kwargs):
-            x0 = np.asarray(x0, dtype=float)
-            f = fun(x0, *args)
-            calls.append(x0)
-            if len(calls) == 8:  # 6 grid starts, the extra start, then the polish
-                return SimpleNamespace(fun=f + 1.0 if polish_worse else f, x=x0,
-                                       success=polish_ok, nfev=1)
-            return SimpleNamespace(fun=f, x=x0, nfev=1,
-                                   success=winner_ok or not np.allclose(x0, winner))
+        def scripted_descents(starts, fatols, times, ranks, weights, max_iter):
+            out = []
+            for x0 in starts:
+                x0 = tuple(map(float, x0))
+                f = _objective(x0, times, ranks, weights)
+                calls.append(np.array(x0))
+                if len(calls) == 8:  # 6 grid starts, the extra start, then the polish
+                    out.append(Descent(x0, x0, f + 1.0 if polish_worse else f, 1, polish_ok))
+                else:
+                    ok = winner_ok or not np.allclose(x0, winner)
+                    out.append(Descent(x0, x0, f, 1, ok))
+            return out
 
-        monkeypatch.setattr(rankflow.fit, "minimize", scripted_minimize)
+        monkeypatch.setattr(rankflow.fit, "_descend_all", scripted_descents)
         res = fit_pareto(low_fixture(30), FitOptions(extra_starts=[(a0, b0)]))
         assert len(calls) == 8
         assert np.allclose(calls[-1], winner)
@@ -284,7 +288,38 @@ class TestSimplex:
         assert ours.success == ref.success == converges
 
 
+def saturating_fixture():
+    """200 points to t = 1e6 h of a law with a = 1e-2: near the fitted a,
+    a t passes 700, where the curve is exactly 1."""
+    ts = np.geomspace(1.0, 1e6, 200)
+    return synthesize_noisy_trajectory(SalesRateDistribution.pareto(1e-2, 1.3), 10 ** 5,
+                                       ts, 50.0, seed=2)
+
+
+def zero_time_fixture():
+    """A trajectory that starts at t = 0, where every curve is 0."""
+    traj = low_fixture(40, sigma=5e3, seed=3)
+    return RankingTrajectory(np.concatenate([[0.0], traj.times]),
+                             np.concatenate([[1.0], traj.ranks]))
+
+
 class TestStartReport:
+    @pytest.mark.parametrize("make", [lambda: low_fixture(30, sigma=5e3, seed=7),
+                                      zero_time_fixture, saturating_fixture],
+                             ids=["plain", "zero-time", "saturating"])
+    def test_lockstep_descents_match_minimize(self, make):
+        # the fit runs its descents in lockstep, one curve call per round; each
+        # must end exactly where minimize ends alone from the same start
+        traj = make()
+        args = (traj.times, traj.ranks, None)
+        res = fit_pareto(traj)
+        for d in res.starts:
+            fatol = 1e-12 * (1.0 + abs(_objective(np.array(d.x0), *args)))
+            alone = minimize(_objective, np.array(d.x0), args=args, maxiter=2000,
+                             maxfev=8000, xatol=1e-9, fatol=fatol)
+            assert d == Descent(d.x0, tuple(map(float, alone.x)), float(alone.fun),
+                                alone.nfev, alone.success)
+
     def test_one_entry_per_descent(self):
         traj = low_fixture(30, sigma=5e3, seed=7)
         res = fit_pareto(traj)

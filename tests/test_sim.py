@@ -455,3 +455,19 @@ def test_config_rejects_non_finite_inputs(bad):
     kwargs = dict(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="finite"):
         SimulationConfig(**{**kwargs, **bad})
+
+
+def test_config_rejects_repeated_times_with_a_tracked_item():
+    # the tracked trajectory needs strictly increasing times; this used to
+    # fail only after the whole run
+    kwargs = dict(rates=discrete_rates(300, 1.0, 0.8), horizon=2.0, seed=0,
+                  observe_times=[1.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="repeat"):
+        SimulationConfig(**kwargs, track_item=3)
+    assert SimulationConfig(**kwargs).observe_times.size == 3  # snapshots may repeat
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SimulationConfig(rates=np.array([1.0, 2.0]), horizon=1.0, seed=seed)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankflow.oracle import gamma_quad
 from rankflow.special import (
@@ -225,3 +227,26 @@ def test_quadrature_oracle_matches_mpmath_at_large_p(z, p):
     value, err = gamma_quad(z, p)
     assert value == pytest.approx(mp_gammainc(z, p), rel=1e-10, abs=0.0)
     assert abs(value - mp_gammainc(z, p)) <= err
+
+
+# lanes on both sides of the series/fraction split at 1.5 and past the
+# underflow at 700, where the kernel returns 0
+_LANE_P = st.one_of(st.floats(1e-9, 1.4999), st.floats(1.5, 40.0), st.floats(40.0, 699.0),
+                    st.floats(700.5, 1e4), st.sampled_from([1.5, 1.4999, 700.0]))
+_ROW_Z = st.one_of(st.floats(-0.999, 0.999), st.sampled_from([0.0, -0.5, -0.75, -0.999]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.lists(_ROW_Z, min_size=1, max_size=7), lanes=st.lists(_LANE_P, min_size=1, max_size=60))
+@example(z=[0.0, -0.6, 0.3], lanes=[1e-3, 1.2, 2.0, 0.5, 800.0, 1.5, 30.0, 1e-6, 1.4999])
+# the second row's last bit changes if it runs the first row's 72 fraction
+# terms instead of its own 67, or the first row's 22 series terms, not 18
+@example(z=[0.5, -0.03521947136531367], lanes=[1.5, 1.6418247325877688])
+@example(z=[0.5, -0.598983981906643], lanes=[1.4999, 0.8521891305215561])
+def test_rows_are_bit_identical_to_single_row_calls(z, lanes):
+    # each row keeps its own term counts, lift and head constants, so batching
+    # rows into one call must not change a single bit of any of them
+    ps = np.resize(np.array(lanes), (len(z), max(1, len(lanes) // len(z))))
+    got = _gamma_upper_grid(np.array(z), ps)
+    for row, zr, pr in zip(got, z, ps):
+        assert row.tobytes() == _gamma_upper_grid(zr, pr).tobytes(), (zr, pr)
