@@ -91,12 +91,6 @@ class SalesRateDistribution:
     def empirical(cls, rates) -> "SalesRateDistribution":
         return cls(kind="empirical", rates=np.asarray(rates, dtype=float))
 
-    @property
-    def n_rates(self) -> int:
-        if self.kind != "empirical":
-            raise ValueError("n_rates only applies to empirical distributions")
-        return int(self.rates.size)
-
     def support(self) -> tuple[float, float]:
         """Smallest and largest rate carrying mass; the power law's largest
         is the cutoff a (1 + 1/gamma)^(1/b), infinite at gamma = 0."""

@@ -42,6 +42,10 @@ _STARTS_PER_SIDE = 3    # descents from the best grid points on each side of b =
 _XATOL = 1e-9           # simplex diameter in (log a, b)
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class RankingTrajectory:
     """Observed (time, rank) points for one item between its own sales.
@@ -117,7 +121,7 @@ class FitResult:
     delta_y_c: float
     converged: bool
     starts_tried: int
-    # every descent in the order run, the polish last; not part of the JSON
+    # every descent in the order run, one per start; not part of the JSON
     starts: list[Descent] = field(default_factory=list, compare=False)
 
     def to_json(self) -> str:
@@ -306,11 +310,15 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     if float(traj.ranks.max()) == float(traj.ranks.min()):
         raise ValueError("degenerate data: all ranks equal")
 
+    if not _is_integer(opts.max_iter) or opts.max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {opts.max_iter!r}")
     weights = None
     if opts.weights is not None:
         weights = np.asarray(opts.weights, dtype=float)
         if weights.shape != traj.times.shape:
             raise ValueError("weights must match the number of observations")
+        if not (np.all(np.isfinite(weights) & (weights >= 0.0)) and np.count_nonzero(weights) >= 6):
+            raise ValueError("weights must be finite and non-negative, at least 6 of them positive")
 
     grid = _start_grid(traj)
     points = grid + [np.array([math.log(a0), float(b0)]) for a0, b0 in opts.extra_starts]
@@ -335,15 +343,11 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
         outcomes = _descend_all(starts, fatols, *data)
 
     best = min(outcomes, key=lambda o: o.chi2)
-    # polish from the winner; also settles ties between nearby basins
-    polish = _descend_all([best.x], [1e-12 * (1.0 + abs(best.chi2))], *data)[0]
-    final = best if polish.chi2 > best.chi2 else polish  # its flag is the one reported
-
-    n_star = _projected_all([final.x], traj.times, traj.ranks, weights)[0][1]
+    n_star = _projected_all([best.x], traj.times, traj.ranks, weights)[0][1]
     return FitResult(
-        n_star=n_star, a_star=math.exp(final.x[0]), b_star=final.x[1], chi2=final.chi2,
-        delta_y_c=math.sqrt(final.chi2 / traj.n_d) / n_star,
-        converged=final.success, starts_tried=len(starts), starts=outcomes + [polish],
+        n_star=n_star, a_star=math.exp(best.x[0]), b_star=best.x[1], chi2=best.chi2,
+        delta_y_c=math.sqrt(best.chi2 / traj.n_d) / n_star,
+        converged=best.success, starts_tried=len(starts), starts=outcomes,
     )
 
 

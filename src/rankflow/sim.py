@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import read_columns
 from .dist import SalesRateDistribution
-from .fit import RankingTrajectory
+from .fit import RankingTrajectory, _is_integer
 from .limit import y_c
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
-_GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
 
 class CapacityError(RuntimeError):
@@ -79,8 +78,10 @@ class SimulationConfig:
             raise ValueError("observe_times must lie within [0, horizon]")
         if self.track_item is not None and np.any(np.diff(obs) == 0.0):
             raise ValueError("observe_times must not repeat when an item is tracked")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.track_item is not None and not _is_integer(self.track_item):
+            raise ValueError(f"track_item must be an integer, got {self.track_item!r}")
         n = self.rates.size
         if self.initial_order is None:
             self.initial_order = np.arange(1, n + 1, dtype=np.int64)
@@ -112,7 +113,6 @@ class SimulationRun:
     observe_times: np.ndarray
     boundary_counts: np.ndarray       # ever-sold count at each observe time
     tracked_trajectory: RankingTrajectory | None
-    generator: str = _GENERATOR_NAME
 
     @property
     def n_items(self) -> int:

@@ -191,6 +191,24 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_pareto(traj, FitOptions(weights=np.ones(7)))
 
+    @pytest.mark.parametrize("options,match", [
+        (FitOptions(weights=np.zeros(30)), "at least 6 of them positive"),
+        (FitOptions(weights=np.r_[np.ones(5), np.zeros(25)]), "at least 6 of them positive"),
+        (FitOptions(weights=np.full(30, math.nan)), "finite and non-negative"),
+        (FitOptions(weights=np.r_[math.inf, np.ones(29)]), "finite and non-negative"),
+        (FitOptions(weights=np.r_[-1.0, np.ones(29)]), "finite and non-negative"),
+        (FitOptions(max_iter=0), "max_iter"),
+        (FitOptions(max_iter=-1), "max_iter"),
+        (FitOptions(max_iter=1.5), "max_iter"),
+        (FitOptions(max_iter=True), "max_iter"),
+    ], ids=["weights-zero", "weights-five-positive", "weights-nan", "weights-inf",
+            "weights-negative", "max-iter-0", "max-iter-negative", "max-iter-float",
+            "max-iter-bool"])
+    def test_rejects_bad_options(self, options, match):
+        # rejected before any descent, not returned as a fit with n_star nan
+        with pytest.raises(ValueError, match=match):
+            fit_pareto(low_fixture(30, sigma=5e3, seed=7), options)
+
     def test_json_round_trip(self):
         res = fit_pareto(low_fixture(20))
         back = FitResult.from_json(res.to_json())
@@ -214,13 +232,9 @@ class TestConvergedFlag:
         res = fit_pareto(low_fixture(30, sigma=5e3, seed=7), FitOptions(max_iter=1))
         assert not res.converged
 
-    @pytest.mark.parametrize("winner_ok,polish_ok,polish_worse,expected", [
-        (True, False, False, False),  # polish kept: its failure counts
-        (False, True, True, False),   # polish discarded: the winning start's
-        (True, False, True, True),
-    ])
-    def test_flag_describes_returned_optimum(self, monkeypatch, winner_ok, polish_ok,
-                                             polish_worse, expected):
+    @pytest.mark.parametrize("winner_ok", [True, False],
+                             ids=["winner-converged", "winner-not-converged"])
+    def test_flag_describes_returned_optimum(self, monkeypatch, winner_ok):
         # every other start converges; only the returned descent decides
         _, a0, b0 = LOW
         winner = np.array([math.log(a0), b0])
@@ -230,21 +244,17 @@ class TestConvergedFlag:
             out = []
             for x0 in starts:
                 x0 = tuple(map(float, x0))
-                f = _objective(x0, times, ranks, weights)
                 calls.append(np.array(x0))
-                if len(calls) == 8:  # 6 grid starts, the extra start, then the polish
-                    out.append(Descent(x0, x0, f + 1.0 if polish_worse else f, 1, polish_ok))
-                else:
-                    ok = winner_ok or not np.allclose(x0, winner)
-                    out.append(Descent(x0, x0, f, 1, ok))
+                ok = winner_ok or not np.allclose(x0, winner)
+                out.append(Descent(x0, x0, _objective(x0, times, ranks, weights), 1, ok))
             return out
 
         monkeypatch.setattr(rankflow.fit, "_descend_all", scripted_descents)
         res = fit_pareto(low_fixture(30), FitOptions(extra_starts=[(a0, b0)]))
-        assert len(calls) == 8
+        assert len(calls) == 7  # 6 grid starts and the extra start, nothing after
         assert np.allclose(calls[-1], winner)
         assert res.b_star == b0
-        assert res.converged is expected
+        assert res.converged is winner_ok
 
 
 def rosenbrock(x):
@@ -323,11 +333,10 @@ class TestStartReport:
     def test_one_entry_per_descent(self):
         traj = low_fixture(30, sigma=5e3, seed=7)
         res = fit_pareto(traj)
-        assert len(res.starts) == res.starts_tried + 1  # the polish is last
-        assert res.chi2 == min(d.chi2 for d in res.starts)
-        assert any(math.exp(d.x[0]) == res.a_star and d.x[1] == res.b_star
-                   for d in res.starts if d.chi2 == res.chi2)
-        assert res.starts[-1].x0 == min(res.starts[:-1], key=lambda d: d.chi2).x
+        assert len(res.starts) == res.starts_tried
+        best = min(res.starts, key=lambda d: d.chi2)  # returned as it ended
+        assert (res.a_star, res.b_star, res.chi2) == (math.exp(best.x[0]), best.x[1], best.chi2)
+        assert res.converged is best.success
         for d in res.starts:
             assert len(d.x0) == len(d.x) == 2
             assert d.nfev > 0 and d.success

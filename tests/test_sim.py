@@ -467,7 +467,17 @@ def test_config_rejects_repeated_times_with_a_tracked_item():
     assert SimulationConfig(**kwargs).observe_times.size == 3  # snapshots may repeat
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True])
 def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed"):
         SimulationConfig(rates=np.array([1.0, 2.0]), horizon=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("track_item", [1.5, True, "1", np.float64(1.0)])
+def test_config_rejects_a_track_item_that_is_not_an_integer(track_item):
+    # rejected before the run, not at its first observation inside numpy
+    with pytest.raises(ValueError, match="track_item must be an integer"):
+        SimulationConfig(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0,
+                         observe_times=[0.5, 1.0], track_item=track_item)
+    assert SimulationConfig(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0,
+                            track_item=np.int64(1)).track_item == 1
