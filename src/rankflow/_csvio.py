@@ -14,7 +14,7 @@ import csv
 
 import numpy as np
 
-_BLOCK = 2048  # rows per block; 2048 keeps its arrays below glibc's 128 KiB mmap threshold
+_BLOCK = 16384  # rows per block
 
 # "0000".."9999" in memory order, from the two-digit table: as uint32 for %d,
 # and as uint64 with a 0xff byte after each digit for %.12g (entry 10000 is

@@ -312,6 +312,12 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
 
     if not _is_integer(opts.max_iter) or opts.max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {opts.max_iter!r}")
+    if not _is_integer(opts.workers) or opts.workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {opts.workers!r}")
+    for a0, b0 in opts.extra_starts:
+        if not (0.0 < a0 < math.inf and 0.0 < b0 <= 2.0):
+            raise ValueError(f"extra start needs finite a0 > 0 and b0 in (0, 2], "
+                             f"got ({a0!r}, {b0!r})")
     weights = None
     if opts.weights is not None:
         weights = np.asarray(opts.weights, dtype=float)

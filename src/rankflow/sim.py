@@ -160,23 +160,36 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-def _draw_chunk(rng, total_rate: float, t_cursor: float, accept: np.ndarray,
-                alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next _CHUNK events after t_cursor: their times and items. The
-    order of the draws (gaps, slots, coins) fixes each seed's run."""
+def _draw_chunk(rng, total_rate: float, t_cursor: float, horizon: float,
+                accept: np.ndarray, alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next events after t_cursor, up to _CHUNK of them and none past the
+    horizon: their times and items.
+
+    Each seed's run is fixed by the order of a full chunk's draws: _CHUNK
+    gaps, then _CHUNK slots, then _CHUNK coins. Only the k events up to the
+    horizon are kept, so only their k slots and k coins are drawn; the
+    _CHUNK - k slots of the events past the horizon are skipped by advancing
+    the generator, not drawn. PCG64 spends exactly one 64-bit output per
+    uniform double, so every kept slot and coin is the draw a full chunk
+    would have made, and a chunk with k < _CHUNK ends the run, so no draw
+    follows its coins. That final chunk's times are copied out of the gap
+    buffer, which is freed before the run's last observations.
+    """
     n = accept.size
     times = rng.exponential(1.0 / total_rate, _CHUNK)
     np.cumsum(times, out=times)
     times += t_cursor
-    slots = rng.random(_CHUNK)
+    k = int(np.searchsorted(times, horizon, side="right"))
+    slots = rng.random(k)
+    rng.bit_generator.advance(_CHUNK - k)
     slots *= n
     j = slots.view(np.int64)  # each slot's index, written over its draw
     np.trunc(slots, out=j, casting="unsafe")
     np.minimum(j, n - 1, out=j)
-    coin = rng.random(_CHUNK)
-    items = alias[j]
-    np.copyto(items, j, where=coin < accept[j])
-    return times, items
+    keep = rng.random(k) < accept.take(j)
+    items = alias.take(j)
+    np.copyto(items, j, where=keep)
+    return (times if k == _CHUNK else times[:k].copy()), items
 
 
 class _State:
@@ -265,11 +278,10 @@ def run_simulation(config: SimulationConfig, sink=None,
     done = False
 
     while not done:
-        times, items = _draw_chunk(rng, total_rate, t_cursor, accept, alias)
-        n_valid = int(np.searchsorted(times, config.horizon, side="right"))
+        times, items = _draw_chunk(rng, total_rate, t_cursor, config.horizon,
+                                   accept, alias)
+        n_valid = times.size
         done = n_valid < _CHUNK
-        times = times[:n_valid]
-        items = items[:n_valid]
         applied = 0
         # on the final chunk every remaining observation is reachable
         limit = config.horizon if done else float(times[-1])
@@ -288,6 +300,7 @@ def run_simulation(config: SimulationConfig, sink=None,
         seq_base += n_valid
         if not done:
             t_cursor = float(times[-1])
+        del times, items  # the next chunk is drawn without this one alive
 
     tracked = None
     if config.track_item is not None and obs.size:

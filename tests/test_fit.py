@@ -201,9 +201,22 @@ class TestFit:
         (FitOptions(max_iter=-1), "max_iter"),
         (FitOptions(max_iter=1.5), "max_iter"),
         (FitOptions(max_iter=True), "max_iter"),
+        (FitOptions(workers=0), "workers"),
+        (FitOptions(workers=-1), "workers"),
+        (FitOptions(workers=1.5), "workers"),
+        (FitOptions(workers=True), "workers"),
+        (FitOptions(extra_starts=[(0.0, 0.5)]), "extra start"),
+        (FitOptions(extra_starts=[(-1e-3, 0.5)]), "extra start"),
+        (FitOptions(extra_starts=[(math.inf, 0.5)]), "extra start"),
+        (FitOptions(extra_starts=[(math.nan, 0.5)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, 0.0)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, 5.0)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, math.nan)]), "extra start"),
     ], ids=["weights-zero", "weights-five-positive", "weights-nan", "weights-inf",
             "weights-negative", "max-iter-0", "max-iter-negative", "max-iter-float",
-            "max-iter-bool"])
+            "max-iter-bool", "workers-0", "workers-negative", "workers-float",
+            "workers-bool", "a0-zero", "a0-negative", "a0-inf", "a0-nan", "b0-zero",
+            "b0-above-2", "b0-nan"])
     def test_rejects_bad_options(self, options, match):
         # rejected before any descent, not returned as a fit with n_star nan
         with pytest.raises(ValueError, match=match):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,63 @@ def test_sale_times_match_golden_bytes():
     assert run.total_events == 1433052
     assert sha256_of(run.first_sale, run.last_sale) == (
         "beb9f86e2d7c4742230f9f9e9c1d64045e7d17e1636e03794d5d7b05a2a56282")
+
+
+def _full_chunk_events(cfg, chunk):
+    """Reference event stream: every chunk draws all its gaps, slots and
+    coins, and the events past the horizon are cut off afterwards."""
+    rng = np.random.default_rng(cfg.seed)
+    accept, alias = _build_alias(cfg.rates)
+    n, total = cfg.n_items, float(cfg.rates.sum())
+    t_cursor, times, items = 0.0, [], []
+    while True:
+        t = t_cursor + np.cumsum(rng.exponential(1.0 / total, chunk))
+        j = np.minimum((rng.random(chunk) * n).astype(np.int64), n - 1)
+        coin = rng.random(chunk)
+        k = int(np.searchsorted(t, cfg.horizon, side="right"))
+        times.append(t[:k])
+        items.append(np.where(coin < accept[j], j, alias[j])[:k])
+        if k < chunk:
+            return np.concatenate(times), np.concatenate(items)
+        t_cursor = float(t[-1])
+
+
+@pytest.mark.parametrize("end", ["first chunk", "chunk boundary", "later chunk"])
+def test_trimmed_final_chunk_matches_full_chunk_draws(monkeypatch, end):
+    # the final chunk draws only the slots and coins of its events before the
+    # horizon and skips the rest; every kept draw must be the full chunk's
+    chunk = 256
+    monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+    rates = np.geomspace(0.01, 1.0, 50)  # uneven, so most coins decide an item
+    long_times, _ = _full_chunk_events(
+        SimulationConfig(rates=rates, horizon=1e4, seed=21), chunk)
+    horizon = {"first chunk": float(long_times[chunk // 2]),
+               "chunk boundary": float(long_times[chunk - 1]),
+               "later chunk": float(long_times[3 * chunk + 100])}[end]
+    cfg = SimulationConfig(rates=rates, horizon=horizon, seed=21)
+    times, items = _full_chunk_events(cfg, chunk)
+    run = run_simulation(cfg)
+    if end == "chunk boundary":  # a full chunk, then an empty one
+        assert run.total_events == chunk
+    assert run.total_events == times.size
+    np.testing.assert_array_equal(run.event_times, times)
+    np.testing.assert_array_equal(run.event_items, items)
+
+
+def test_small_run_memory_floor():
+    # the final chunk holds only its events' slots and coins, and the chunk
+    # before it is dropped first; what is left is the 4 MB buffer of gaps
+    cfg = SimulationConfig(rates=discrete_rates(20000, 5e-4, 0.8), horizon=40.0, seed=0,
+                           observe_times=np.array([40.0]))
+    run_simulation(cfg, snapshot_sink=lambda t, r: None)  # warm
+    tracemalloc.start()
+    try:
+        run = run_simulation(cfg, snapshot_sink=lambda t, r: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 15000 < run.total_events < 25000
+    assert peak < 8 * 2 ** 20
 
 
 def _replay_move_to_front(run):
