@@ -4,10 +4,11 @@ The model is rank(t) = N * y(t; a, b) with y the closed-form limit curve of
 the power-law rate distribution. The rank is linear in N, so for each (a, b)
 the best N has a closed form and is projected out of the objective
 (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973). The
-descent runs in (log a, b) with a derivative-free Nelder-Mead simplex,
-restarted from a coarse grid of data-scaled initial guesses; the curve's
-t^b rise near zero for b < 1 makes gradient steps unreliable there. The
-simplex is implemented here, so fitting imports no scipy.
+descent runs in (log a, b) by Levenberg-Marquardt (Marquardt, J. SIAM 11,
+1963), from the best points of a coarse grid of data-scaled initial guesses.
+Both derivatives are cheap: dy/d(log a) = b P(q) with P = y + expm1(-q)
+comes with the curve, and dy/db is a difference over two more curve rows of
+the same batched call. Fitting imports no scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ __all__ = [
 
 TRAJECTORY_HEADER = ["t_hours", "rank"]
 _STARTS_PER_SIDE = 3    # descents from the best grid points on each side of b = 1
-_XATOL = 1e-9           # simplex diameter in (log a, b)
+_XATOL = 1e-9           # a converged step's size in (log a, b)
+_DB = 1e-5              # the b step of the dy/db difference
+# a step that would take b out of the domain (_B_GUARD, 2) stops on its edge
+_B_LO, _B_HI = math.nextafter(_B_GUARD, 2.0), math.nextafter(2.0, 0.0)
 
 
 def _is_integer(v) -> bool:
@@ -101,9 +105,11 @@ class FitOptions:
 
 
 class Descent(NamedTuple):
-    """One simplex descent: its start and end in (log a, b), the projected
-    chi^2 at the end, its objective evaluations, and whether the simplex met
-    its stopping test within the iteration budget."""
+    """One descent: its start and end in (log a, b), the projected chi^2 at
+    the end, the rounds it took part in (one curve call each), and whether it
+    met the stopping rule within max_iter rounds: an accepted step that
+    lowered chi^2 by at most the start's fatol and moved at most _XATOL in
+    each coordinate, or a rejected step of at most _XATOL."""
 
     x0: tuple[float, float]
     x: tuple[float, float]
@@ -155,22 +161,34 @@ def chi2(traj: RankingTrajectory, n: float, a: float, b: float,
     return float(resid @ resid)
 
 
+def _inside(ln_a: float, b: float) -> bool:
+    return _B_GUARD < b < 2.0 and abs(b - 1.0) >= _B_GUARD and -700.0 < ln_a < 700.0
+
+
+def _scored(curves: np.ndarray, ranks: np.ndarray) -> list[tuple[float, float]]:
+    """(chi^2, N) of each (weighted) curve row, with N = (y.r)/(y.y) the exact
+    least-squares scale of y; chi^2 is 1e300 unless N is positive and finite."""
+    out = []
+    for y in curves:  # row by row, each as a 1-d product
+        yy = float(y @ y)
+        n = float(y @ ranks) / yy if yy > 0.0 else math.nan
+        resid = ranks - n * y if 0.0 < n < math.inf else None
+        out.append((1e300, n) if resid is None else (float(resid @ resid), n))
+    return out
+
+
 def _projected_all(xs, times: np.ndarray, ranks: np.ndarray,
                    weights: np.ndarray | None) -> list[tuple[float, float]]:
     """(chi^2, N) at each x = (log a, b), from one curve call, with N = (y.W^2 r)/
     (y.W^2 y) the exact least-squares scale of y; chi^2 is 1e300 outside the domain."""
     out = [(1e300, math.nan)] * len(xs)
-    inside = [j for j, (ln_a, b) in enumerate(xs) if _B_GUARD < b < 2.0
-              and abs(b - 1.0) >= _B_GUARD and -700.0 < ln_a < 700.0]
+    inside = [j for j, x in enumerate(xs) if _inside(*x)]
     curves = _pareto_y_grid(np.array([math.exp(xs[j][0]) for j in inside]),
                             np.array([float(xs[j][1]) for j in inside]), times)
     if weights is not None:
         curves, ranks = curves * weights, ranks * weights
-    for j, y in zip(inside, curves):  # row by row, each as a 1-d product
-        yy = float(y @ y)
-        n = float(y @ ranks) / yy if yy > 0.0 else math.nan
-        resid = ranks - n * y if 0.0 < n < math.inf else None
-        out[j] = (1e300, n) if resid is None else (float(resid @ resid), n)
+    for j, score in zip(inside, _scored(curves, ranks)):
+        out[j] = score
     return out
 
 
@@ -272,19 +290,73 @@ def _lockstep(runs, evaluate) -> list:
 
 
 def minimize(fun, x0, args=(), **options) -> SimpleNamespace:
-    """Nelder-Mead minimum of ``fun(x, *args)`` from ``x0``: one :func:`_simplex` run."""
+    """Nelder-Mead minimum of ``fun(x, *args)`` from ``x0``: one :func:`_simplex` run.
+    The fit does not use it; the tests hold the fit's optimum against it."""
     return _lockstep([_simplex(x0, **options)],
                      lambda xs: [fun(np.array(x), *args) for x in xs])[0]
 
 
+def _lm_step(x, system, lam: float) -> tuple[float, float]:
+    """The damped Gauss-Newton step from x in Marquardt's scaling, cut to at most
+    1 in log a and in b (steps from far starts can leap). A b that would leave
+    the domain stops on its edge, and log a solves with that b step held."""
+    aa, ab, bb, ga, gb = system
+    daa, dbb = aa * (1.0 + lam) or 1.0, bb * (1.0 + lam) or 1.0  # a zero column stays put
+    det = daa * dbb - ab * ab
+    db = (gb * daa - ga * ab) / det
+    b = min(max(x[1] + db, _B_LO), _B_HI)
+    da = (ga * dbb - gb * ab) / det if b == x[1] + db else (ga - ab * (b - x[1])) / daa
+    cut = max(abs(da), abs(b - x[1]), 1.0)
+    return x[0] + da / cut, x[1] + (b - x[1]) / cut
+
+
 def _descend_all(starts, fatols, times, ranks, weights, max_iter: int) -> list[Descent]:
-    """One simplex descent from each start, all run in lockstep: each round
-    evaluates the pending point of every live descent in one curve call."""
-    runs = [_simplex(x0, maxiter=max_iter, maxfev=4 * max_iter, xatol=_XATOL, fatol=fatol)
-            for x0, fatol in zip(starts, fatols)]
-    ends = _lockstep(runs, lambda xs: [c for c, _ in _projected_all(xs, times, ranks, weights)])
-    return [Descent(tuple(map(float, x0)), tuple(map(float, e.x)), float(e.fun), int(e.nfev),
-                    bool(e.success)) for x0, e in zip(starts, ends)]
+    """One Levenberg-Marquardt descent from each start, all in lockstep: each
+    round evaluates every live descent's trial point and the two rows of its
+    dy/db difference in one curve call. Each curve row is bit for bit a
+    one-row call, so a descent's path does not depend on who shares its calls."""
+    k, w = len(starts), 1.0 if weights is None else weights
+    rw = ranks * w
+    x = [tuple(map(float, x0)) for x0 in starts]
+    trial, f, lam = list(x), [1e300] * k, [1.0] * k
+    system, nfev, success = [None] * k, [0] * k, [None] * k
+    while live := [j for j in range(k) if success[j] is None]:
+        ev = [j for j in live if _inside(*trial[j])]
+        a = np.array([math.exp(trial[j][0]) for j in ev])
+        b = np.array([trial[j][1] for j in ev])
+        # dy/db from rows at b + h1 and b + h2: central, or one-sided within _DB of an edge
+        h1 = np.where(b + _DB > _B_HI, -_DB, _DB)
+        h2 = np.where((b - _DB < _B_LO) | (b + _DB > _B_HI), 2.0 * h1, -h1)
+        y0, y1, y2 = np.split(_pareto_y_grid(np.tile(a, 3), np.concatenate([b, b + h1, b + h2]),
+                                             times), 3)
+        y, bp = y0 * w, b[:, None] * (y0 + np.expm1(-np.multiply.outer(a, times))) * w
+        dyb = ((-(h1 + h2) / (h1 * h2))[:, None] * y0 + (h2 / (h1 * (h2 - h1)))[:, None] * y1
+               + (h1 / (h2 * (h1 - h2)))[:, None] * y2) * w
+        scores = dict(zip(ev, enumerate(_scored(y, rw))))
+        for j in live:
+            nfev[j] += 1
+            i, (c, n) = scores.get(j, (0, (1e300, math.nan)))
+            moved = max(abs(trial[j][0] - x[j][0]), abs(trial[j][1] - x[j][1]))
+            if c < f[j]:
+                # the Jacobian of N y in (N, log a, b) is [y, N b P, N dy/db]; with N
+                # projected out, (log a, b) solve on its part orthogonal to y
+                cols = np.array([y[i], n * bp[i], n * dyb[i], rw - n * y[i]])
+                (yy, ya, yb, yr), (_, aa, ab, ar), (_, _, bb, br), _ = (cols @ cols.T).tolist()
+                system[j] = (aa - ya * ya / yy, ab - ya * yb / yy, bb - yb * yb / yy,
+                             ar - ya * yr / yy, br - yb * yr / yy)
+                if f[j] - c <= fatols[j] and moved <= _XATOL:
+                    success[j] = True
+                x[j], f[j], lam[j] = trial[j], c, lam[j] / 10.0
+            elif system[j] is None or moved <= _XATOL:  # a start outside the domain fails
+                success[j] = system[j] is not None
+            else:
+                lam[j] *= 10.0
+            if success[j] is None:
+                trial[j] = _lm_step(x[j], system[j], lam[j])
+                if nfev[j] >= max_iter:
+                    success[j] = False
+    return [Descent(tuple(map(float, x0)), x[j], f[j], nfev[j], success[j])
+            for j, x0 in enumerate(starts)]
 
 
 def _start_grid(traj: RankingTrajectory) -> list[np.ndarray]:
@@ -297,9 +369,10 @@ def _start_grid(traj: RankingTrajectory) -> list[np.ndarray]:
 def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> FitResult:
     """Best mean-square (N, a, b) for the observed trajectory.
 
-    Screens a coarse data-scaled (a, b) grid by residual, then runs simplex
-    descents from the most promising points on each side of b = 1 and keeps
-    the overall best; N is the exact least-squares scale at every point.
+    Screens a coarse data-scaled (a, b) grid by residual, then runs
+    Levenberg-Marquardt descents from the most promising points on each side
+    of b = 1 and keeps the overall best; N is the exact least-squares scale at
+    every point.
     Non-convergence is reported through the result flag, not raised.
     """
     opts = options or FitOptions()

@@ -69,6 +69,31 @@ _EULER = 0.5772156649015329
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(40)])
 
 
+def _tail_crossings() -> np.ndarray:
+    """For M = 1..38, the smallest double p with p^(M+1)/(M+1)! >= _SERIES_TAIL
+    in Python's float arithmetic. Each term rises with p and, for p < 1.5,
+    falls with M, so the crossings rise with M."""
+    out = []
+    for m in range(1, 39):
+        fact = math.factorial(m + 1)
+        v = (_SERIES_TAIL * fact) ** (1.0 / (m + 1))
+        while v ** (m + 1) / fact >= _SERIES_TAIL:
+            v = math.nextafter(v, 0.0)
+        while v ** (m + 1) / fact < _SERIES_TAIL:
+            v = math.nextafter(v, math.inf)
+        out.append(v)
+    return np.array(out)
+
+
+_TAIL_CROSSINGS = _tail_crossings()
+
+
+def _series_terms(p_max) -> list[int]:
+    """The series term count M of each largest p: the smallest M >= 1 with
+    p^(M+1)/(M+1)! below _SERIES_TAIL, one search over the crossings."""
+    return (np.searchsorted(_TAIL_CROSSINGS, p_max, side="right") + 1).tolist()
+
+
 def _lgamma1p(z: float) -> float:
     """ln Gamma(1 + z) for z in (-1, 1], to a few ulps of the result also
     near its zeros z = 0 and 1.
@@ -135,10 +160,7 @@ def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
     if small.any():
         # p = 1 stands in for a row call's lanes outside the series
         ps = np.where(small, p, 1.0) if rows else p[small]
-        p_max = np.where(small, p, 0.0).max(axis=1).tolist() if rows else [float(ps.max())]
-        # the smallest m >= 1 with p_max^(m+1)/(m+1)! below _SERIES_TAIL, per row
-        m = [next(k for k in range(1, 39) if v ** (k + 1) / math.factorial(k + 1) < _SERIES_TAIL)
-             for v in p_max]
+        m = _series_terms(np.where(small, p, 0.0).max(axis=1) if rows else [ps.max()])
         top = max(m)
         # toward z = -1 the head Gamma(z) ~ 1/(z+1) cancels against the sum
         # (4e-13 off at z = -0.99, 9e-14 at -0.89); the step down from z + 1,

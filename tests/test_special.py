@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from rankflow.oracle import gamma_quad
 from rankflow.special import (
+    _TAIL_CROSSINGS,
+    _SERIES_TAIL,
     _gamma_upper,
     _gamma_upper_grid,
+    _series_terms,
     gamma_recursion_shift,
     upper_incomplete_gamma,
 )
@@ -182,6 +185,19 @@ def test_grid_series_count_just_below_split(p):
     for z in SPLIT_ORDERS:
         got = _gamma_upper_grid(z, np.array([p]))[0]
         assert got == pytest.approx(mp_gammainc(z, p), rel=1e-13, abs=0.0), (z, p)
+
+
+def test_series_term_count_matches_term_search():
+    # the count from the tail crossings is the first M whose next term falls
+    # below the tail, as a term-by-term search in float arithmetic finds it:
+    # on a dense sweep of the series range and at each crossing and its neighbour
+    below = [math.nextafter(c, 0.0) for c in _TAIL_CROSSINGS]
+    ps = np.concatenate([[0.0, 1e-300], np.geomspace(1e-12, 1.5, 20001),
+                         np.linspace(0.0, 1.5, 20001), _TAIL_CROSSINGS, below])
+    ps = ps[ps < 1.5]
+    search = [next(m for m in range(1, 39) if v ** (m + 1) / math.factorial(m + 1) < _SERIES_TAIL)
+              for v in ps.tolist()]
+    assert _series_terms(ps) == search
 
 
 MIXED_PS = np.concatenate([10.0 ** np.linspace(-8.0, math.log10(1.4999), 12),
