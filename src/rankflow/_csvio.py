@@ -44,7 +44,10 @@ _G_MASK = np.select(
 _POW10 = np.array([float(10 ** k) for k in range(16)])  # exact doubles
 # a %d field is 12 zero-padded digits; mask row d - 1 keeps the last d
 _D_MASK = np.where(np.arange(12) >= 11 - np.arange(12)[:, None], 255, 0).astype(np.uint8)
-_D_LIMITS = 10 ** np.arange(1, 12)
+# _D_ROW[p, g]: the mask row of a value whose leading group is g at group p
+# (0 high, 1 mid, 2 low); 0 for g = 0
+_D_ROW = np.repeat(np.arange(4, dtype=np.int8), [10, 90, 900, 9000]) + np.int8([[8], [4], [0]])
+_D_ROW[:, 0] = 0
 
 
 def read_columns(path, header, types) -> list[tuple]:
@@ -77,21 +80,16 @@ def open_csv(path, header):
     return fh
 
 
-def _groups(m):
-    """The 4-digit groups [high, mid, low] of the integers ``0 <= m < 10**12``."""
-    top = m // 10 ** 4
-    high = top // 10 ** 4
-    return [high, top - high * 10 ** 4, m - top * 10 ** 4]
-
-
 def _general_field(x):
     """(True where Python must format, digit bytes, mask) of ``%.12g``."""
     ok = (x > 0.0) & (x < np.inf)
-    x = np.where(ok, x, 1.0)
+    if not ok.all():
+        x = np.where(ok, x, 1.0)
     e = np.floor(np.log10(x)).astype(np.int64)
     y = x * _POW10.take(11 - e, mode="clip")
-    e += (y >= 1e12).astype(np.int64) - (y < 1e11)  # where log10 was one off
-    y = x * _POW10.take(11 - e, mode="clip")
+    if not (y.min() >= 1e11 and y.max() < 1e12):  # where log10 was one off
+        e += (y >= 1e12).astype(np.int64) - (y < 1e11)
+        y = x * _POW10.take(11 - e, mode="clip")
     m = np.rint(y)
     carry = m == 1e12  # rounds up to the next power of ten
     e += carry
@@ -99,12 +97,24 @@ def _general_field(x):
     # y is within 2**-11 of a tie
     odd = (~ok | (e < -4) | (e > 11) | (m < 1e11) | (m > 1e12)
            | (np.abs(y - m) >= 0.5 - 2.0 ** -11))
-    groups = _groups(np.where(odd | carry, 1e11, m).astype(np.int64))
-    high, mid, low = (_KEPT.take(g) for g in groups)
-    kept = np.where(low > 0, 8 + low, np.where(mid > 0, 4 + mid, high))
-    # the prefix word only when a value needs it
-    words = np.stack([np.full_like(e, 10000)] * bool(np.any(e < 0)) + groups, axis=1)
-    mask = _G_MASK[:, 32 - 8 * words.shape[1]:].take((e + 4) * 13 + kept, axis=0, mode="clip")
+    if odd.any() or carry.any():
+        np.copyto(m, 1e11, where=odd | carry)
+    # the 4-digit groups [high, mid, low] of m, split in exact float
+    # arithmetic below 1e12, after the prefix word when a value needs it
+    words = np.empty((m.size, 3 + bool(np.any(e < 0))), dtype=np.int64)
+    if words.shape[1] == 4:
+        words[:, 0] = 10000
+    top = np.floor(m / 1e4)
+    words[:, -1] = m - top * 1e4
+    words[:, -3] = high = np.floor(top / 1e4)
+    words[:, -2] = top - high * 1e4
+    # the kept digits of the low group, or of mid or high where it is zero
+    e *= 13
+    e += _KEPT.take(words[:, -1]) + 60  # mask row (e + 4) * 13 + kept
+    zero = np.flatnonzero(words[:, -1] == 0)
+    mid = words[zero, -2]
+    e[zero] += np.where(mid > 0, _KEPT.take(mid) - 4, _KEPT.take(words[zero, -3]) - 8)
+    mask = _G_MASK[:, 32 - 8 * words.shape[1]:].take(e, axis=0, mode="clip")
     return odd, _SPACED.take(words).view(np.uint8), mask
 
 
@@ -113,11 +123,20 @@ def _int_field(v):
     if v.dtype.kind not in "iu":
         raise ValueError(f"a %d field needs integers, got {v.dtype}")
     odd = (v < 0) | (v >= 10 ** 12)
-    v = np.where(odd, 0, v).astype(np.int64)
-    digits = np.searchsorted(_D_LIMITS, v, side="right")  # digits - 1
-    skip = 2 - digits.max() // 4  # leading groups that are zero in every row
-    words = _GROUP.take(np.stack(_groups(v)[skip:], axis=1)).view(np.uint8)
-    return odd, words, _D_MASK[:, 4 * skip:].take(digits, axis=0)
+    if odd.any():
+        v = np.where(odd, 0, v)
+    top = int(v.max())
+    groups = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)
+    words = np.empty((v.size, groups), dtype=np.int64)
+    words[:, -1] = v
+    for c in range(groups - 1, 0, -1):  # split off the low group
+        words[:, c - 1] = words[:, c] // 10 ** 4
+        words[:, c] -= words[:, c - 1] * 10 ** 4
+    # mask row digits - 1: the largest of each group's row from the table
+    digits = _D_ROW[3 - groups].take(words[:, 0])
+    for c in range(1, groups):
+        np.maximum(digits, _D_ROW[3 - groups + c].take(words[:, c]), out=digits)
+    return odd, _GROUP.take(words).view(np.uint8), _D_MASK[:, 12 - 4 * groups:].take(digits, axis=0)
 
 
 def write_rows(fh, fmt: str, *columns) -> None:

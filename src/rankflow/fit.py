@@ -106,16 +106,18 @@ class FitOptions:
 
 class Descent(NamedTuple):
     """One descent: its start and end in (log a, b), the projected chi^2 at
-    the end, the rounds it took part in (one curve call each), and whether it
-    met the stopping rule within max_iter rounds: an accepted step that
+    the end, the rounds it took part in (one curve call each), whether it
+    met the stopping rule within max_iter rounds (an accepted step that
     lowered chi^2 by at most the start's fatol and moved at most _XATOL in
-    each coordinate, or a rejected step of at most _XATOL."""
+    each coordinate, or a rejected step of at most _XATOL), and the projected
+    N at the end."""
 
     x0: tuple[float, float]
     x: tuple[float, float]
     chi2: float
     nfev: int
     success: bool
+    n: float
 
 
 @dataclass
@@ -318,7 +320,7 @@ def _descend_all(starts, fatols, times, ranks, weights, max_iter: int) -> list[D
     k, w = len(starts), 1.0 if weights is None else weights
     rw = ranks * w
     x = [tuple(map(float, x0)) for x0 in starts]
-    trial, f, lam = list(x), [1e300] * k, [1.0] * k
+    trial, f, n_at, lam = list(x), [1e300] * k, [math.nan] * k, [1.0] * k
     system, nfev, success = [None] * k, [0] * k, [None] * k
     while live := [j for j in range(k) if success[j] is None]:
         ev = [j for j in live if _inside(*trial[j])]
@@ -346,16 +348,18 @@ def _descend_all(starts, fatols, times, ranks, weights, max_iter: int) -> list[D
                              ar - ya * yr / yy, br - yb * yr / yy)
                 if f[j] - c <= fatols[j] and moved <= _XATOL:
                     success[j] = True
-                x[j], f[j], lam[j] = trial[j], c, lam[j] / 10.0
+                x[j], f[j], n_at[j], lam[j] = trial[j], c, n, lam[j] / 10.0
             elif system[j] is None or moved <= _XATOL:  # a start outside the domain fails
                 success[j] = system[j] is not None
+                if system[j] is None:  # a failed start keeps its own N
+                    n_at[j] = n
             else:
                 lam[j] *= 10.0
             if success[j] is None:
                 trial[j] = _lm_step(x[j], system[j], lam[j])
                 if nfev[j] >= max_iter:
                     success[j] = False
-    return [Descent(tuple(map(float, x0)), x[j], f[j], nfev[j], success[j])
+    return [Descent(tuple(map(float, x0)), x[j], f[j], nfev[j], success[j], n_at[j])
             for j, x0 in enumerate(starts)]
 
 
@@ -388,9 +392,9 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
     if not _is_integer(opts.workers) or opts.workers < 1:
         raise ValueError(f"workers must be a positive integer, got {opts.workers!r}")
     for a0, b0 in opts.extra_starts:
-        if not (0.0 < a0 < math.inf and 0.0 < b0 <= 2.0):
-            raise ValueError(f"extra start needs finite a0 > 0 and b0 in (0, 2], "
-                             f"got ({a0!r}, {b0!r})")
+        if not (0.0 < a0 < math.inf and _inside(math.log(a0), b0)):
+            raise ValueError(f"extra start needs a0 in (e^-700, e^700) and b0 in "
+                             f"({_B_GUARD}, 2) outside 1 +/- {_B_GUARD}, got ({a0!r}, {b0!r})")
     weights = None
     if opts.weights is not None:
         weights = np.asarray(opts.weights, dtype=float)
@@ -422,10 +426,9 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
         outcomes = _descend_all(starts, fatols, *data)
 
     best = min(outcomes, key=lambda o: o.chi2)
-    n_star = _projected_all([best.x], traj.times, traj.ranks, weights)[0][1]
     return FitResult(
-        n_star=n_star, a_star=math.exp(best.x[0]), b_star=best.x[1], chi2=best.chi2,
-        delta_y_c=math.sqrt(best.chi2 / traj.n_d) / n_star,
+        n_star=best.n, a_star=math.exp(best.x[0]), b_star=best.x[1], chi2=best.chi2,
+        delta_y_c=math.sqrt(best.chi2 / traj.n_d) / best.n,
         converged=best.success, starts_tried=len(starts), starts=outcomes,
     )
 

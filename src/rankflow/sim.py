@@ -6,7 +6,8 @@ probability w_i / W (alias-table draw, O(1) per event). Rankings are never
 shifted per event; move-to-front order is recovered on demand because at
 any instant the queue reads "items in reverse order of last sale, then the
 never-sold in their initial order". That keeps a run at O(events) plus
-O(N log N) per observation instead of O(events * N).
+O(N + S log S) per observation, S the items sold so far, instead of
+O(events * N).
 
 Runs are the Monte-Carlo oracle for the closed-form limit curves: the
 scaled count of ever-sold items converges on the limit curve, and the
@@ -130,31 +131,33 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (scaled weight > 1) in index order; a large item whose excess runs dry
     becomes small and borrows its shortfall from the next large item. Items at
     exactly 1 keep themselves. With D and E the running sums of deficits and
-    excesses (E strictly increasing), every hand-over is one searchsorted.
+    excesses (both non-decreasing), every hand-over follows from one merge:
+    where each E_k falls among the D.
     """
     n = weights.size
     accept = weights * (n / weights.sum())  # the scaled weights, clipped to 1 below
     alias = np.arange(n, dtype=np.int64)
     small, large = np.flatnonzero(accept < 1.0), np.flatnonzero(accept > 1.0)
-    d_cum = np.subtract(1.0, accept[small])
+    d_cum = accept.take(small)
+    np.subtract(1.0, d_cum, out=d_cum)
     np.cumsum(d_cum, out=d_cum)
-    e_cum = accept[large]
+    e_cum = accept.take(large)
     e_cum -= 1.0
     np.cumsum(e_cum, out=e_cum)
     np.minimum(accept, 1.0, out=accept)
-    # small i + 1 borrows from the first large k with E_k > D_i, and small 0
-    # from large 0. k never decreases; rounding can leave a tail past the last
-    # large item, and those keep themselves as alias (mass 1, off by rounding
-    # only)
-    k = np.searchsorted(e_cum, d_cum[:-1], side="right")
-    lent = int(np.searchsorted(k, large.size))
-    alias[small[1:lent + 1]] = large[k[:lent]]
-    if large.size:
-        alias[small[:1]] = large[0]
+    if not large.size:
+        return accept, alias
+    # j[k] = #{D < E_k}: small i + 1 borrows from the first large k with
+    # E_k > D_i, that is from large k for j[k-1] <= i < j[k], and small 0 from
+    # large 0. Rounding can leave a tail past the last large item, and those
+    # keep themselves as alias (mass 1, off by rounding only)
+    j = np.searchsorted(d_cum, e_cum, side="left")
+    given = np.repeat(large, np.diff(j, prepend=0))[:small.size - 1]
+    alias[small[1:given.size + 1]] = given
+    alias[small[:1]] = large[0]
     # large k runs dry at the first D_j >= E_k (small j straddles E_k, so it
     # was given to k or an earlier large item) and borrows D_j - E_k from k + 1
-    j = np.searchsorted(d_cum, e_cum[:-1], side="left")
-    dry = np.flatnonzero(j < small.size)
+    dry = np.flatnonzero(j[:-1] < small.size)
     accept[large[dry]] = np.clip(1.0 - (d_cum[j[dry]] - e_cum[dry]), 0.0, 1.0)
     alias[large[dry]] = large[dry + 1]
     return accept, alias
@@ -231,15 +234,18 @@ class _State:
         return n_sold + ahead + 1
 
     def _all_ranks(self) -> np.ndarray:
-        # one distinct key per item: -1 - last_seq < 0 puts the sold first,
-        # latest sale first, and init_rank >= 1 the never-sold after them
-        key = np.subtract(-1, self.last_seq)
-        np.copyto(key, self.init_rank, where=self.last_seq < 0)
-        order = np.argsort(key)
-        for lo in range(0, order.size, _CHUNK):  # key becomes the ranks, block by block
-            part = order[lo:lo + _CHUNK]
-            key[part] = np.arange(lo + 1, lo + 1 + part.size)
-        return key
+        # the S sold items take ranks 1..S, latest sale first; a never-sold
+        # item follows at S + its initial rank, less the sold items that
+        # started ahead of it (a running count over initial ranks)
+        sold = np.flatnonzero(self.last_seq >= 0)
+        ahead = np.zeros(self.init_rank.size + 1, dtype=np.int64)
+        ahead[self.init_rank.take(sold)] = 1
+        np.cumsum(ahead, out=ahead)
+        ranks = ahead.take(self.init_rank)
+        np.subtract(self.init_rank, ranks, out=ranks)
+        ranks += sold.size
+        ranks[sold.take(np.argsort(self.last_seq.take(sold)))] = np.arange(sold.size, 0, -1)
+        return ranks
 
 
 def run_simulation(config: SimulationConfig, sink=None,

@@ -576,6 +576,39 @@ class TestCsvWriters:
         assert written_text(header, "%d,%.12g,%d", items, xs, ks) == csv_writer_text(
             header, ([i, f"{x:.12g}", int(k)] for i, x, k in zip(items, xs, ks)))
 
+    def test_edges_match_percent_formatting(self):
+        # every exponent class from one below %g's fixed range to one above it
+        # with 1-12 kept digits, roundings that carry into the next power of
+        # ten, values within 2**-11 of a tie, and integers at group edges;
+        # each class alone (a block with nothing for Python to format) and
+        # all of them in one column
+        rng = np.random.default_rng(12)
+        classes = []
+        for e in range(-5, 13):
+            xs = []
+            for kept in range(1, 13):
+                digits = rng.integers(10 ** (kept - 1), 10 ** kept, 4)
+                digits += digits % 10 == 0  # the last kept digit is not zero
+                xs += [float(f"{m}e{e - kept + 1}") for m in digits]
+            classes.append(xs)
+        for k in range(-16, 1):
+            near = [float(f"999999999999{d}e{k - 1}") for d in (4, 5, 6, 9)]
+            classes.append(near + [float(np.nextafter(x, s)) for x in near for s in (0, np.inf)])
+        for e in (-4, 0, 5, 11):
+            m = rng.integers(10 ** 11, 10 ** 12, 8)
+            classes.append([(v + 0.5 + s * 2.0 ** -j) * 10.0 ** (e - 11)
+                            for v in m for s in (-1, 1) for j in (9, 10, 11, 12)])
+        for xs in classes + [sum(classes, [])]:
+            assert written_text(["x"], "%.12g", np.array(xs)) == csv_writer_text(
+                ["x"], ([f"{x:.12g}"] for x in xs))
+        edges = [0, 1, 9, 10, 9999, 10 ** 4, 10 ** 4 + 1, 10 ** 8 - 1, 10 ** 8,
+                 10 ** 8 + 1, 10 ** 12 - 1]
+        for k in range(1, len(edges) + 1):  # as many groups as the largest needs
+            for ks in (edges[:k], edges[:k][::-1]):
+                for dtype in (np.int64, np.uint64):
+                    assert written_text(["k"], "%d", np.array(ks, dtype=dtype)) == \
+                        csv_writer_text(["k"], ([k] for k in ks))
+
     def test_column_longer_than_a_block(self):
         # runs of Python-formatted rows (exponent notation, ties, zeros)
         # between laid-out ones, across block boundaries

@@ -18,7 +18,7 @@ from rankflow.fit import (
     classify_regime,
     fit_pareto,
 )
-from rankflow.fit import _objective, minimize
+from rankflow.fit import _objective, _projected_all, minimize
 from rankflow.limit import _pareto_y_grid
 from rankflow.sim import synthesize_noisy_trajectory
 
@@ -220,11 +220,17 @@ class TestFit:
         (FitOptions(extra_starts=[(1e-3, 0.0)]), "extra start"),
         (FitOptions(extra_starts=[(1e-3, 5.0)]), "extra start"),
         (FitOptions(extra_starts=[(1e-3, math.nan)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, 2.0)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, 1.0)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, 1.0 - 5e-7)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-3, 5e-7)]), "extra start"),
+        (FitOptions(extra_starts=[(1e-320, 0.5)]), "extra start"),
     ], ids=["weights-zero", "weights-five-positive", "weights-nan", "weights-inf",
             "weights-negative", "max-iter-0", "max-iter-negative", "max-iter-float",
             "max-iter-bool", "workers-0", "workers-negative", "workers-float",
             "workers-bool", "a0-zero", "a0-negative", "a0-inf", "a0-nan", "b0-zero",
-            "b0-above-2", "b0-nan"])
+            "b0-above-2", "b0-nan", "b0-two", "b0-one", "b0-in-guard-band",
+            "b0-below-guard", "a0-log-below-700"])
     def test_rejects_bad_options(self, options, match):
         # rejected before any descent, not returned as a fit with n_star nan
         with pytest.raises(ValueError, match=match):
@@ -267,7 +273,8 @@ class TestConvergedFlag:
                 x0 = tuple(map(float, x0))
                 calls.append(np.array(x0))
                 ok = winner_ok or not np.allclose(x0, winner)
-                out.append(Descent(x0, x0, _objective(x0, times, ranks, weights), 1, ok))
+                c, n = _projected_all([x0], times, ranks, weights)[0]
+                out.append(Descent(x0, x0, c, 1, ok, n))
             return out
 
         monkeypatch.setattr(rankflow.fit, "_descend_all", scripted_descents)
@@ -389,6 +396,25 @@ class TestStartReport:
         monkeypatch.setattr(rankflow.fit, "_pareto_y_grid", counted)
         fit_pareto(traj, FitOptions(weights=weights))
         assert 0 < len(calls) <= 60
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_n_star_comes_from_the_winning_round(self, monkeypatch, name):
+        # one screening call and one call per round, nothing after; each N is
+        # bit for bit the one-row projection at the descent's end
+        traj, weights = FIXTURES[name]()
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return _pareto_y_grid(*a)
+
+        monkeypatch.setattr(rankflow.fit, "_pareto_y_grid", counted)
+        res = fit_pareto(traj, FitOptions(weights=weights))
+        assert len(calls) == 1 + max(d.nfev for d in res.starts)
+        monkeypatch.undo()
+        for d in res.starts:
+            assert d.n == _projected_all([d.x], traj.times, traj.ranks, weights)[0][1]
+        assert res.n_star == min(res.starts, key=lambda d: d.chi2).n
 
     def test_one_entry_per_descent(self):
         traj = low_fixture(30, sigma=5e3, seed=7)

@@ -283,6 +283,81 @@ def test_alias_table_with_tied_integer_weights():
                                    rtol=1e-9)
 
 
+def _alias_by_loop(scaled):
+    """Vose's pairing one item at a time: each small item, in index order,
+    borrows from the current large item, and a large item whose excess runs
+    out (to zero included) becomes small and borrows from the next one."""
+    accept, alias = np.minimum(scaled, 1.0), np.arange(scaled.size)
+    small, large = np.flatnonzero(scaled < 1.0), np.flatnonzero(scaled > 1.0)
+    k, left = 0, scaled[large[0]] - 1.0 if large.size else 0.0
+    for i in small:
+        alias[i] = large[k]
+        left -= 1.0 - scaled[i]
+        while left <= 0.0 and k + 1 < large.size:
+            accept[large[k]], alias[large[k]] = 1.0 + left, large[k + 1]
+            k += 1
+            left += scaled[large[k]] - 1.0
+    return accept, alias
+
+
+def test_alias_table_with_exact_ties_between_deficits_and_excesses():
+    # weights 1 -+ d in eighths sum to N, so every running sum is exact and
+    # running deficits often equal running excesses; the table must be the
+    # one-item-at-a-time pairing's, number for number
+    accept, alias = _build_alias(np.array([0.5, 1.5, 0.5, 1.5]))
+    assert accept.tolist() == [0.5, 1.0, 0.5, 1.0] and alias.tolist() == [1, 3, 3, 3]
+    rng = np.random.default_rng(9)
+    for n in range(2, 60):
+        d = rng.integers(0, 8, n // 2) / 8.0
+        w = rng.permutation(np.r_[1.0 - d, 1.0 + d, [1.0] * (n % 2)])
+        want = _alias_by_loop(w)
+        got = _build_alias(w)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def _ranks_by_argsort(last_seq, init_rank):
+    """Move-to-front order as one argsort: sold items by latest sale, then
+    the never-sold by initial rank."""
+    key = np.where(last_seq >= 0, -1 - last_seq, init_rank)
+    ranks = np.empty(key.size, dtype=np.int64)
+    ranks[np.argsort(key)] = np.arange(1, key.size + 1)
+    return ranks
+
+
+def _state_with_sales(n, sold, rng, permuted):
+    cfg = SimulationConfig(rates=np.ones(n), horizon=1.0, seed=0,
+                           initial_order=rng.permutation(n) + 1 if permuted else None)
+    state = sim_module._State(cfg, None)
+    state.last_seq = np.where(rng.random(n) < sold, rng.permutation(3 * n)[:n], -1)
+    return state
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+@pytest.mark.parametrize("sold", [0.0, 0.01, 0.5, 1.0], ids=["none", "few", "half", "all"])
+@pytest.mark.parametrize("permuted", [False, True], ids=["identity", "permuted"])
+def test_all_ranks_match_an_argsort_reference(n, sold, permuted):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        state = _state_with_sales(n, sold, rng, permuted)
+        np.testing.assert_array_equal(state._all_ranks(),
+                                      _ranks_by_argsort(state.last_seq, state.init_rank))
+
+
+def test_all_ranks_memory():
+    # about 1% sold: one N-sized scratch array beside the returned ranks
+    n = 200_000
+    state = _state_with_sales(n, 0.01, np.random.default_rng(4), permuted=True)
+    tracemalloc.start()
+    try:
+        ranks = state._all_ranks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.size == n
+    assert peak < 2.5 * n * 8
+
+
 def test_sink_streams_the_recorded_events():
     chunks = []
     cfg = dict(rates=discrete_rates(2000, 1.0, 0.8), horizon=15.0, seed=4,
