@@ -17,7 +17,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -194,110 +193,6 @@ def _projected_all(xs, times: np.ndarray, ranks: np.ndarray,
     return out
 
 
-def _objective(x, times: np.ndarray, ranks: np.ndarray,
-               weights: np.ndarray | None) -> float:
-    return _projected_all([x], times, ranks, weights)[0][0]
-
-
-class _BudgetSpent(Exception):
-    """The objective was asked for once more after maxfev evaluations."""
-
-
-def _simplex(x0, *, maxiter: int, maxfev: int, xatol: float, fatol: float):
-    """Nelder-Mead from ``x0`` as a generator that yields each point and is sent
-    its value: step for step scipy's non-adaptive ``minimize(method="Nelder-Mead")``
-    (the same simplex, coefficients, vertex order, stopping test and budget flags).
-    Returns ``x``, ``fun``, ``nfev`` and ``success`` (xatol and fatol met in budget).
-    """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return (yield x)
-
-    # vertices are lists of floats: the same IEEE arithmetic as numpy 2-vectors,
-    # at a fraction of the overhead per step
-    x0 = np.asarray(x0, dtype=float).ravel().tolist()
-    dim = len(x0)
-    sim = [x0] + [[(1.05 * v if v != 0.0 else 0.00025) if j == k else v
-                   for j, v in enumerate(x0)] for k in range(dim)]
-    fsim = [math.inf] * (dim + 1)
-    # coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2;
-    # the stable sort keeps scipy's vertex order on ties, NaN last as in numpy
-    try:
-        for k in range(dim + 1):
-            fsim[k] = yield from f(sim[k])
-    except _BudgetSpent:
-        pass
-    order = sorted(range(dim + 1), key=lambda j: (fsim[j] != fsim[j], fsim[j]))
-    sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, sim[0]))
-                and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
-            break
-        try:
-            xbar = sim[0]  # summed in numpy's order: row 0, then 1, ...
-            for x in sim[1:-1]:
-                xbar = [c + v for c, v in zip(xbar, x)]
-            xbar = [c / dim for c in xbar]
-            xr = [2.0 * c - w for c, w in zip(xbar, sim[-1])]
-            fxr = yield from f(xr)
-            if fxr < fsim[0]:
-                xe = [3.0 * c - 2.0 * w for c, w in zip(xbar, sim[-1])]
-                fxe = yield from f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, sim[-1])]
-                    fxc = yield from f(xc)
-                    shrink = not fxc <= fxr
-                else:
-                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, sim[-1])]
-                    fxc = yield from f(xc)
-                    shrink = not fxc < fsim[-1]
-                if shrink:
-                    for j in range(1, dim + 1):
-                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(sim[0], sim[j])]
-                        fsim[j] = yield from f(sim[j])
-                else:
-                    sim[-1], fsim[-1] = xc, fxc
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        order = sorted(range(dim + 1), key=lambda j: (fsim[j] != fsim[j], fsim[j]))
-        sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
-    success = nfev < maxfev and iterations < maxiter
-    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), success=success, nfev=nfev)
-
-
-def _lockstep(runs, evaluate) -> list:
-    """Drive :func:`_simplex` generators together to their results: each round
-    sends every live run its value and ``evaluate`` takes all their next points."""
-    ends, sent = {}, dict.fromkeys(range(len(runs)))  # None starts each generator
-    while sent:
-        pending = {}
-        for j, value in sent.items():
-            try:
-                pending[j] = runs[j].send(value)
-            except StopIteration as stop:
-                ends[j] = stop.value
-        sent = dict(zip(pending, evaluate(list(pending.values())))) if pending else {}
-    return [ends[j] for j in range(len(runs))]
-
-
-def minimize(fun, x0, args=(), **options) -> SimpleNamespace:
-    """Nelder-Mead minimum of ``fun(x, *args)`` from ``x0``: one :func:`_simplex` run.
-    The fit does not use it; the tests hold the fit's optimum against it."""
-    return _lockstep([_simplex(x0, **options)],
-                     lambda xs: [fun(np.array(x), *args) for x in xs])[0]
-
-
 def _lm_step(x, system, lam: float) -> tuple[float, float]:
     """The damped Gauss-Newton step from x in Marquardt's scaling, cut to at most
     1 in log a and in b (steps from far starts can leap). A b that would leave
@@ -312,7 +207,7 @@ def _lm_step(x, system, lam: float) -> tuple[float, float]:
     return x[0] + da / cut, x[1] + (b - x[1]) / cut
 
 
-def _descend_all(starts, fatols, times, ranks, weights, max_iter: int) -> list[Descent]:
+def minimize(starts, fatols, times, ranks, weights, max_iter: int) -> list[Descent]:
     """One Levenberg-Marquardt descent from each start, all in lockstep: each
     round evaluates every live descent's trial point and the two rows of its
     dy/db difference in one curve call. Each curve row is bit for bit a
@@ -364,7 +259,7 @@ def _descend_all(starts, fatols, times, ranks, weights, max_iter: int) -> list[D
 
 
 def _start_grid(traj: RankingTrajectory) -> list[np.ndarray]:
-    t_span = float(traj.times[-1] - traj.times[0]) or float(traj.times[-1])
+    t_span = float(traj.times[-1] - traj.times[0])
     return [np.array([math.log(a_mult / t_span), b0])
             for a_mult in (0.3, 1.0, 3.0, 10.0)
             for b0 in (0.3, 0.5, 0.7, 0.9, 1.2, 1.5)]
@@ -421,9 +316,9 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
         groups = [(starts[i:i + size], fatols[i:i + size], *data)
                   for i in range(0, len(starts), size)]
         with ProcessPoolExecutor(max_workers=opts.workers) as pool:
-            outcomes = [d for group in pool.map(_descend_all, *zip(*groups)) for d in group]
+            outcomes = [d for group in pool.map(minimize, *zip(*groups)) for d in group]
     else:
-        outcomes = _descend_all(starts, fatols, *data)
+        outcomes = minimize(starts, fatols, *data)
 
     best = min(outcomes, key=lambda o: o.chi2)
     return FitResult(

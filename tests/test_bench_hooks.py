@@ -10,10 +10,14 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rankflow.cli
+import rankflow.fit
+from rankflow.dist import SalesRateDistribution
 from rankflow.fit import FitOptions
-from rankflow.sim import SimulationConfig, run_simulation
+from rankflow.sim import SimulationConfig, run_simulation, synthesize_noisy_trajectory
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
@@ -42,6 +46,31 @@ def test_hook_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_fit_hooks_fire_in_a_cli_fit(monkeypatch, tmp_path):
+    # a hook that resolves but is never called reports 0: fit.descent must see
+    # the descent phase, once per serial fit, and limit.curve_grid every round
+    descend, curve = rankflow.fit.minimize, rankflow.fit._pareto_y_grid
+    phases, curve_calls = [], []
+
+    def counted_descend(*args):
+        phases.append(descend(*args))
+        return phases[-1]
+
+    def counted_curve(*args):
+        curve_calls.append(args)
+        return curve(*args)
+
+    monkeypatch.setattr(rankflow.fit, "minimize", counted_descend)
+    monkeypatch.setattr(rankflow.fit, "_pareto_y_grid", counted_curve)
+    traj = synthesize_noisy_trajectory(SalesRateDistribution.pareto(3.939e-4, 0.6312), 857000,
+                                       np.linspace(10.0, 1900.0, 50), 200.0, seed=1)
+    traj.to_csv(tmp_path / "traj.csv")
+    assert rankflow.cli.main(["fit", str(tmp_path / "traj.csv"),
+                              "-o", str(tmp_path / "out.json")]) == 0
+    assert len(phases) == 1
+    assert len(curve_calls) == 1 + max(d.nfev for d in phases[0])
 
 
 def test_fit_options_take_a_worker_count():

@@ -18,7 +18,7 @@ from rankflow.fit import (
     classify_regime,
     fit_pareto,
 )
-from rankflow.fit import _objective, _projected_all, minimize
+from rankflow.fit import _projected_all
 from rankflow.limit import _pareto_y_grid
 from rankflow.sim import synthesize_noisy_trajectory
 
@@ -277,53 +277,12 @@ class TestConvergedFlag:
                 out.append(Descent(x0, x0, c, 1, ok, n))
             return out
 
-        monkeypatch.setattr(rankflow.fit, "_descend_all", scripted_descents)
+        monkeypatch.setattr(rankflow.fit, "minimize", scripted_descents)
         res = fit_pareto(low_fixture(30), FitOptions(extra_starts=[(a0, b0)]))
         assert len(calls) == 7  # 6 grid starts and the extra start, nothing after
         assert np.allclose(calls[-1], winner)
         assert res.b_star == b0
         assert res.converged is winner_ok
-
-
-def rosenbrock(x):
-    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-
-
-def projected_problem(b0):
-    """The fit objective on a noisy 200-point trajectory of exponent b0,
-    started from the grid point a = 1/t_span, b = 0.9."""
-    n0, a0, _ = LOW
-    ts = np.linspace(10.0, 1900.0, 200)
-    traj = synthesize_noisy_trajectory(SalesRateDistribution.pareto(a0, b0), int(n0),
-                                       ts, 200.0, seed=11)
-    x0 = np.array([math.log(1.0 / (ts[-1] - ts[0])), 0.9])
-    return _objective, x0, (traj.times, traj.ranks, None)
-
-
-class TestSimplex:
-    """The in-house Nelder-Mead against scipy's, bit for bit."""
-
-    @pytest.mark.parametrize("problem,maxiter,maxfev,converges", [
-        ((rosenbrock, np.array([-1.2, 1.0]), ()), 2000, 8000, True),
-        ((rosenbrock, np.array([-1.2, 0.0]), ()), 2000, 8000, True),
-        (projected_problem(0.6312), 2000, 8000, True),
-        (projected_problem(1.2), 2000, 8000, True),
-        (projected_problem(0.6312), 1, 4, False),
-        # the second step needs evaluations 6 and 7, so the budget ends mid-step
-        ((rosenbrock, np.array([-1.2, 1.0]), ()), 100, 6, False),
-    ], ids=["rosenbrock", "zero-coordinate", "projected-b0.6312", "projected-b1.2",
-            "max-iter-1", "max-fev-mid-step"])
-    def test_matches_scipy(self, problem, maxiter, maxfev, converges):
-        optimize = pytest.importorskip("scipy.optimize")
-        fun, x0, args = problem
-        options = dict(maxiter=maxiter, maxfev=maxfev, xatol=1e-9,
-                       fatol=1e-12 * (1.0 + abs(fun(x0, *args))))
-        ours = minimize(fun, x0, args=args, **options)
-        ref = optimize.minimize(fun, x0, args=args, method="Nelder-Mead", options=options)
-        assert ours.x.tobytes() == ref.x.tobytes()
-        assert float(ours.fun) == float(ref.fun)
-        assert ours.nfev == ref.nfev
-        assert ours.success == ref.success == converges
 
 
 def saturating_fixture():
@@ -363,6 +322,11 @@ def far_fixture():
                                        np.geomspace(1.0, 1e6, 200), 50.0, seed=2)
 
 
+def _objective(x, times, ranks, weights) -> float:
+    """The fit's projected chi^2 at x = (log a, b), as one function of x."""
+    return _projected_all([x], times, ranks, weights)[0][0]
+
+
 FIXTURES = {"plain": lambda: (low_fixture(30, sigma=5e3, seed=7), None),
             "zero-time": lambda: (zero_time_fixture(), None),
             "saturating": lambda: (saturating_fixture(), None),
@@ -374,13 +338,16 @@ FIXTURES = {"plain": lambda: (low_fixture(30, sigma=5e3, seed=7), None),
 class TestStartReport:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_no_worse_than_simplex_from_the_same_starts(self, name):
+        optimize = pytest.importorskip("scipy.optimize")
         traj, weights = FIXTURES[name]()
         args = (traj.times, traj.ranks, weights)
         res = fit_pareto(traj, FitOptions(weights=weights))
         assert res.converged and all(d.success for d in res.starts)
         simplex = min(
-            float(minimize(_objective, np.array(d.x0), args=args, maxiter=2000, maxfev=8000,
-                           xatol=1e-9, fatol=1e-12 * (1.0 + abs(_objective(d.x0, *args)))).fun)
+            float(optimize.minimize(
+                _objective, np.array(d.x0), args=args, method="Nelder-Mead",
+                options=dict(maxiter=2000, maxfev=8000, xatol=1e-9,
+                             fatol=1e-12 * (1.0 + abs(_objective(d.x0, *args))))).fun)
             for d in res.starts)
         assert res.chi2 <= simplex * (1.0 + 1e-9)
 
