@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "dist": ["SalesRateDistribution", "discrete_rates", "laplace_transform",
              "load_rates_csv", "save_rates_csv"],
-    "special": ["gamma_recursion_shift", "upper_incomplete_gamma"],
     "fit": ["Descent", "FitOptions", "FitResult", "RankingTrajectory", "Regime",
             "RegimeReport", "chi2", "classify_regime", "fit_pareto"],
     "limit": ["DivergenceError", "SalesShareReport", "build_share_report", "invert_y_c",

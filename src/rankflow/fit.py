@@ -41,6 +41,9 @@ TRAJECTORY_HEADER = ["t_hours", "rank"]
 _STARTS_PER_SIDE = 3    # descents from the best grid points on each side of b = 1
 _XATOL = 1e-9           # a converged step's size in (log a, b)
 _DB = 1e-5              # the b step of the dy/db difference
+# accepted steps divide the LM damping by 10 down to this floor; far below it, a
+# step that overshoots costs one rejected round per decade to raise it again
+_LAM_FLOOR = 1e-12
 # a step that would take b out of the domain (_B_GUARD, 2) stops on its edge
 _B_LO, _B_HI = math.nextafter(_B_GUARD, 2.0), math.nextafter(2.0, 0.0)
 
@@ -243,7 +246,7 @@ def minimize(starts, fatols, times, ranks, weights, max_iter: int) -> list[Desce
                              ar - ya * yr / yy, br - yb * yr / yy)
                 if f[j] - c <= fatols[j] and moved <= _XATOL:
                     success[j] = True
-                x[j], f[j], n_at[j], lam[j] = trial[j], c, n, lam[j] / 10.0
+                x[j], f[j], n_at[j], lam[j] = trial[j], c, n, max(lam[j] / 10.0, _LAM_FLOOR)
             elif system[j] is None or moved <= _XATOL:  # a start outside the domain fails
                 success[j] = system[j] is not None
                 if system[j] is None:  # a failed start keeps its own N

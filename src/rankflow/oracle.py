@@ -42,8 +42,8 @@ def gamma_quad(z: float, p: float) -> tuple[float, float]:
     For p < 1 the inner stretch is integrated in log-x coordinates, which
     absorbs the x^(z-1) steepness near the lower endpoint for negative z.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    if not (math.isfinite(z) and 0.0 < p < math.inf):
+        raise ValueError(f"Gamma(z, p) needs a finite z and a finite p > 0, got z={z}, p={p}")
     if p >= 1.0:
         return _tail_quad(z, p)
     # x = e^u turns the integrand into exp(-e^u + z u), smooth on [log p, 0]

@@ -344,15 +344,22 @@ def empirical_joint_measure(rates, ranks, y_bins,
     return h / n, w_edges, y_edges
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v}")
+    return v
+
+
 def load_events_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an event-log CSV with header ``t,item``."""
-    times, items = read_columns(path, ["t", "item"], (float, int))
+    times, items = read_columns(path, ["t", "item"], (_finite, int))
     return np.array(times, dtype=float), np.array(items, dtype=np.int64)
 
 
 def load_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a snapshot CSV with header ``item,w,rank``."""
-    items, rates, ranks = read_columns(path, ["item", "w", "rank"], (int, float, int))
+    items, rates, ranks = read_columns(path, ["item", "w", "rank"], (int, _finite, int))
     return (np.array(items, dtype=np.int64), np.array(rates, dtype=float),
             np.array(ranks, dtype=np.int64))
 

@@ -1,17 +1,19 @@
 """Upper incomplete gamma function for the small negative and fractional
 orders that the ranking limit curves require.
 
-Standard library routines cover only positive order, so this module
-implements the unregularized Gamma(z, p) = integral_p^inf exp(-x) x^(z-1) dx
-directly, in one kernel, ``_gamma_upper_grid``, over an array of p:
+Every closed form rests on P(q) = q^b Gamma(1 - b, q) with b in (0, 2], so
+only orders z in [-1, 1] are needed, and standard library routines cover
+only positive order. One kernel, ``_gamma_upper_grid``, evaluates the
+unregularized Gamma(z, p) = integral_p^inf exp(-x) x^(z-1) dx over an
+array of p, for one order or one order per row:
 
-* a power series, summed by Horner's rule, for p < 1.5 and z in [-1, 1],
+* a power series, summed by Horner's rule, for p < 1.5,
 * a continued fraction, evaluated backward, for p >= 1.5.
 
-Each runs a term count fixed per call, so no lane tests for convergence. A
-scalar call is one lane of that kernel; below the split, the
-integration-by-parts recursion moves an order outside [-1, 1] into the
-series range and back. The tests check the kernel against 40-digit mpmath.
+Each runs a term count fixed per call, so no lane tests for convergence.
+There is no recursion to other orders and no public scalar entry point;
+``rankflow oracle gamma`` gives Gamma(z, p) at any order by quadrature.
+The tests check the kernel against 40-digit mpmath.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["upper_incomplete_gamma", "gamma_recursion_shift"]
+__all__: list[str] = []
 
 # Above this point exp(-p) underflows far past any representable tail mass.
 UNDERFLOW_P = 700.0
@@ -112,25 +114,8 @@ def _lgamma1p(z: float) -> float:
 
 
 def _gamma_upper(z: float, p: float) -> float:
-    """Unregularized Gamma(z, p) for p > 0, as one lane of _gamma_upper_grid.
-
-    The continued fraction takes any order, and the series any z in
-    [-1, 1]. Below the split an order outside that range is shifted k steps
-    into it and brought back by Gamma(w+1, p) = w Gamma(w, p) + p^w e^-p,
-    upward for z > 1 and downward for z < -1.
-    """
-    if p > UNDERFLOW_P:
-        return 0.0
-    k = 0
-    if p < _SERIES_CF_SPLIT:
-        k = max(math.ceil(z - 1.0), 0) + min(math.floor(z + 1.0), 0)
-    g = float(_gamma_upper_grid(z - k, np.array([p]))[0])
-    logp = math.log(p)
-    for w in (z - k + j for j in range(k)):
-        g = w * g + math.exp(w * logp - p)
-    for w in (z - k - 1 - j for j in range(-k)):
-        g = (g - math.exp(w * logp - p)) / w
-    return g
+    """Gamma(z, p) for z in [-1, 1] and p > 0: one lane of _gamma_upper_grid."""
+    return float(_gamma_upper_grid(z, np.array([p]))[0])
 
 
 def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
@@ -144,12 +129,13 @@ def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
     p >= 1.5 evaluate the continued fraction backward (Numerical Recipes,
     3rd ed., 5.2), with the count set by their smallest p.
 
-    A z of shape (k,) with p of shape (k, n) gives each row at its own order,
-    bit for bit the call with that row alone: its own term counts, lift and head.
+    A scalar z is one row holding all of p, of any shape. A z of shape (k,)
+    with p of shape (k, n) gives each row at its own order, bit for bit the
+    call with that row alone: its own term counts, lift and head.
     """
     p = np.asarray(p, dtype=float)
-    rows = getattr(z, "ndim", 0) == 1
-    zr = z.tolist() if rows else [float(z)]  # one order per row
+    zr = np.asarray(z, dtype=float).ravel().tolist()  # one order per row
+    shape, p = p.shape, p.reshape(len(zr), -1 if p.size else 0)  # zr may be empty
 
     def col(v):  # a per-row constant: a float for one row, else a column
         return v[0] if len(v) == 1 else np.array(v)[:, None]
@@ -158,9 +144,8 @@ def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
     live = p <= UNDERFLOW_P
     small = live & (p < _SERIES_CF_SPLIT)
     if small.any():
-        # p = 1 stands in for a row call's lanes outside the series
-        ps = np.where(small, p, 1.0) if rows else p[small]
-        m = _series_terms(np.where(small, p, 0.0).max(axis=1) if rows else [ps.max()])
+        ps = np.where(small, p, 1.0)  # p = 1 stands in for the lanes outside the series
+        m = _series_terms(np.where(small, p, 0.0).max(axis=1))
         top = max(m)
         # toward z = -1 the head Gamma(z) ~ 1/(z+1) cancels against the sum
         # (4e-13 off at z = -0.99, 9e-14 at -0.89); the step down from z + 1,
@@ -193,20 +178,21 @@ def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
             # rows without the lift subtract 0 and divide by 1, exactly
             gs = (gs - col(lift) * np.exp(col(zr) * logp - ps)) / col(
                 [v if up else 1.0 for v, up in zip(zr, lift)])
-        out[small] = gs[small] if rows else gs
+        out[small] = gs[small]
 
     large = live & (p >= _SERIES_CF_SPLIT)
     if large.any():
         pl = p[large]
-        at = np.nonzero(large)[0] if rows else 0  # each lane's row
-        p_min = np.where(large, p, np.inf).min(axis=1).tolist() if rows else [float(pl.min())]
+        at = np.nonzero(large)[0]  # each lane's row
+        p_min = np.where(large, p, np.inf).min(axis=1).tolist()
         n = np.array([math.ceil(_CF_TERMS_BASE + _CF_TERMS_SCALE / v) if v < math.inf else 0
                       for v in p_min])
         lanes_n, top, low = n[at], int(n.max()), int(n[n > 0].min())
         # f = b_{i-1} + a_i / f from i = n down to 1, with a_i = -i (i - z) and
         # b_i = p + 1 - z + 2i; then Gamma(z, p) = p^z e^-p / f. Above a lane's
-        # own n each step resets it to its start value.
-        zl = np.array(zr)[at] if rows else zr[0]
+        # own n each step resets it to its start value. One row keeps z a
+        # float: a per-lane array slows each of the up to 72 steps.
+        zl = zr[0] if len(zr) == 1 else np.array(zr)[at]
         c = 1.0 - zl
         f = pl + (c + 2.0 * top)
         for i in range(top, 0, -1):
@@ -217,42 +203,4 @@ def _gamma_upper_grid(z, p: np.ndarray) -> np.ndarray:
                 np.copyto(f, pl + (c + 2.0 * (i - 1)), where=lanes_n < i)
         out[large] = np.exp(zl * np.log(pl) - pl) / f
 
-    return out
-
-
-def _validate_order(z: float) -> None:
-    if not -3.0 <= z <= 3.0:
-        raise ValueError(f"order z={z} outside supported range [-3, 3]")
-    if z <= 0.0 and abs(z - round(z)) < 1e-9:
-        raise ValueError(f"order z={z} is a non-positive integer (pole of the recursion)")
-
-
-def upper_incomplete_gamma(z: float, p: float) -> float:
-    """Gamma(z, p) = integral_p^inf exp(-x) x^(z-1) dx.
-
-    Supports z in [-3, 3] away from non-positive integers and p > 0.
-    Returns 0.0 for p > 700, where the result underflows double precision.
-    """
-    z = float(z)
-    p = float(p)
-    _validate_order(z)
-    if not p > 0.0:
-        raise ValueError(f"p={p} must be positive")
-    return _gamma_upper(z, p)
-
-
-def gamma_recursion_shift(z: float, p: float) -> float:
-    """Gamma(z, p) evaluated through one integration-by-parts step,
-    Gamma(z, p) = (Gamma(z+1, p) - p^z exp(-p)) / z.
-
-    Same domain as :func:`upper_incomplete_gamma`; exposed so the shift
-    identity can be exercised directly.
-    """
-    z = float(z)
-    p = float(p)
-    _validate_order(z)
-    if not p > 0.0:
-        raise ValueError(f"p={p} must be positive")
-    if p > UNDERFLOW_P:
-        return 0.0
-    return (_gamma_upper(z + 1.0, p) - math.exp(z * math.log(p) - p)) / z
+    return out.reshape(shape)

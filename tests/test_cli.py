@@ -781,6 +781,13 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("rankflow: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [["nan", "1"], ["inf", "1"], ["0.5", "inf"]])
+    def test_gamma_rejects_non_finite_input(self, capsys, args):
+        assert cli.main(["oracle", "gamma", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rankflow: error: ") and captured.err.count("\n") == 1
+
     def test_shares_subcommand(self, capsys):
         assert cli.main(["oracle", "shares", "2.0", "1.5", "0", "1"]) == 0
         value = float(capsys.readouterr().out.split()[0])

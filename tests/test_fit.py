@@ -170,6 +170,19 @@ class TestFit:
         assert flat.x == flat.x0 and flat.success
         assert res.chi2 == fit_pareto(traj).chi2
 
+    def test_far_start_ends_within_100_rounds(self):
+        # far into the asymptote a t << 1 the accepted steps keep dividing the
+        # damping by 10; with no floor on it this start took 262 rounds
+        n0, a0, b0 = LOW
+        traj = synthesize_noisy_trajectory(SalesRateDistribution.pareto(a0, b0), int(n0),
+                                           np.linspace(10.0, 1900.0, 50), 200.0, seed=1)
+        res = fit_pareto(traj, FitOptions(extra_starts=[(1e-9, 0.05)]))
+        far = res.starts[-1]
+        assert far.success and far.nfev <= 100
+        assert far.chi2 == pytest.approx(res.chi2, rel=1e-12, abs=0.0)
+        assert math.exp(far.x[0]) == pytest.approx(res.a_star, rel=1e-9, abs=0.0)
+        assert far.x[1] == pytest.approx(res.b_star, rel=1e-9, abs=0.0)
+
     def test_combined_series_second_parameter_set(self):
         # dense series plus a sparser weekly continuation, one curve
         n0, a0, b0 = 8.00e5, 5.803e-4, 0.7959

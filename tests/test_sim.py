@@ -243,6 +243,17 @@ def test_event_and_snapshot_csv_readers(tmp_path):
         load_events_csv(bad)
 
 
+def test_csv_readers_reject_non_finite_numbers(tmp_path):
+    ev = tmp_path / "events.csv"
+    ev.write_text("t,item\n0.5,3\nnan,0\n")
+    with pytest.raises(ValueError, match=r"events\.csv:3: .*finite"):
+        load_events_csv(ev)
+    snap = tmp_path / "snap.csv"
+    snap.write_text("item,w,rank\n0,inf,2\n1,0.7,1\n")
+    with pytest.raises(ValueError, match=r"snap\.csv:2: .*finite"):
+        load_snapshot_csv(snap)
+
+
 def _implied_weights(accept, alias):
     """Probability mass each item receives from an alias table, times N."""
     return accept + np.bincount(alias, 1.0 - accept, minlength=accept.size)
