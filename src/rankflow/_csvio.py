@@ -11,6 +11,7 @@ value whose rounding is in doubt, or that ``%g`` writes in exponent notation.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -48,6 +49,14 @@ _D_MASK = np.where(np.arange(12) >= 11 - np.arange(12)[:, None], 255, 0).astype(
 # (0 high, 1 mid, 2 low); 0 for g = 0
 _D_ROW = np.repeat(np.arange(4, dtype=np.int8), [10, 90, 900, 9000]) + np.int8([[8], [4], [0]])
 _D_ROW[:, 0] = 0
+
+
+def finite_float(text: str) -> float:
+    """A field as a float, rejecting NaN and infinities."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v}")
+    return v
 
 
 def read_columns(path, header, types) -> list[tuple]:

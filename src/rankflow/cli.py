@@ -10,6 +10,7 @@ the boundary only.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -21,16 +22,41 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from ._csvio import open_csv, write_rows  # noqa: E402
-from .dist import SalesRateDistribution, discrete_rates  # noqa: E402
-from .fit import TRAJECTORY_HEADER, RankingTrajectory, fit_pareto  # noqa: E402
-from .limit import build_share_report, y_c  # noqa: E402
-from .sim import SimulationConfig, run_simulation  # noqa: E402
+# the library names the verbs call, by module. Each line is imported on
+# first use, so that a job compiles only the modules its verb runs: a verb
+# loads its modules with _load, and reading a name from this module loads
+# that name's line (PEP 562). Either binds the whole line, as
+# `from .<module> import ...` would, and keeps a name already set, such as a
+# benchmark hook or a test's replacement set before any verb ran.
+_LIBRARY = {
+    "_csvio": ["open_csv", "write_rows"],
+    "dist": ["SalesRateDistribution", "discrete_rates"],
+    "fit": ["TRAJECTORY_HEADER", "RankingTrajectory", "fit_pareto"],
+    "limit": ["build_share_report", "y_c"],
+    "sim": ["SimulationConfig", "run_simulation"],
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
 
 _TIME_UNIT_HOURS = {"hour": 1.0, "day": 24.0, "month": 720.0}
 
 _FMT = "{:.12g}"
 _MAX_GRID_POINTS = 10**6  # cap on grid specs and the simulate observation grid
+
+
+def _load(*modules: str) -> None:
+    """Bind the _LIBRARY names of each module, keeping any name already set."""
+    for module in modules:
+        # relative to __package__: under `python -m rankflow.cli`, __name__ is __main__
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +89,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     _ensure_writable(args.output, args.force)
+    _load("fit")
     traj = RankingTrajectory.from_csv(args.input)
     scale = _TIME_UNIT_HOURS[args.time_unit]
     if scale != 1.0:
@@ -78,6 +105,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_shares(args) -> int:
     _ensure_writable(args.output, args.force)
+    _load("dist", "limit")
     dist = SalesRateDistribution.pareto_cutoff(args.a, args.b, args.gamma)
     report = build_share_report(dist, _parse_grid(args.r_grid))
     report.to_csv(args.output)
@@ -86,6 +114,7 @@ def _cmd_shares(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _load("dist", "limit")
     dist = SalesRateDistribution.pareto_cutoff(args.a, args.b, args.gamma)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
@@ -107,6 +136,7 @@ def _cmd_eval(args) -> int:
 
 def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
     """The run a config file describes, and whether it asks for snapshots."""
+    _load("dist", "sim")
     required = {"n_items", "a", "b", "horizon", "seed", "observe_every"}
     optional = {"gamma", "track_item", "snapshots", "max_events"}
     values: dict[str, str] = {}
@@ -171,6 +201,7 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
 
 def _cmd_simulate(args) -> int:
     cfg, snapshots = _load_sim_config(args.config)
+    _load("_csvio", "fit", "sim")
     events_path = f"{args.output_prefix}_events.csv"
     traj_path = f"{args.output_prefix}_trajectory.csv"
     snap_paths = [f"{args.output_prefix}_snapshot_{k:04d}.csv"
@@ -209,6 +240,7 @@ def _cmd_report(args) -> int:
     shares_path = f"{args.output_prefix}_shares.csv"
     _ensure_writable(fit_path, args.force)
     _ensure_writable(shares_path, args.force)
+    _load("fit", "dist", "limit")
     r_grid = _parse_grid(args.r_grid)
     traj = RankingTrajectory.from_csv(args.input)
     result = fit_pareto(traj)

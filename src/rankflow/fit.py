@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import open_csv, read_columns, write_rows
+from ._csvio import finite_float, open_csv, read_columns, write_rows
 from .dist import _B_GUARD
 from .limit import _pareto_y_grid
 
@@ -91,7 +91,7 @@ class RankingTrajectory:
 
     @classmethod
     def from_csv(cls, path, meta: str = "") -> "RankingTrajectory":
-        times, ranks = read_columns(path, TRAJECTORY_HEADER, (float, float))
+        times, ranks = read_columns(path, TRAJECTORY_HEADER, (finite_float, finite_float))
         if not times:
             raise ValueError(f"{path}: no observations found")
         return cls(np.array(times), np.array(ranks), meta=meta or str(path))

@@ -89,6 +89,14 @@ class TestFitCommand:
         assert cli.main(["fit", str(path), "-o", str(tmp_path / "f.json")]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_time_names_file_and_line(self, tmp_path, capsys, field):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"t_hours,rank\n1,10\n{field},20\n3,25\n")
+        assert cli.main(["fit", str(path), "-o", str(tmp_path / "f.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: " in err and "finite" in err
+
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t_hours,rank\n1,10\n2,twenty\n")
@@ -728,6 +736,37 @@ START_UP_DRIVER = ("import os, sys\n"
                    "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
 
 
+# Prints the rankflow modules loaded after `import rankflow.cli` and, given
+# a verb's arguments, those loaded after `main` ran it.
+MODULES_DRIVER = ("import json, sys\n"
+                  "import rankflow.cli\n"
+                  "loaded = lambda: sorted(m for m in sys.modules if m.startswith('rankflow.'))\n"
+                  "print(json.dumps(loaded()))\n"
+                  "if sys.argv[1:]:\n"
+                  "    code = rankflow.cli.main(sys.argv[1:])\n"
+                  "    print(json.dumps(loaded()))\n"
+                  "    sys.exit(code)\n")
+
+# Sets hooks on rankflow.cli as perfbench's traced run does, before any verb
+# has run, then runs the verb given.
+HOOK_DRIVER = ("import sys\n"
+               "import rankflow.cli as cli, rankflow.limit as limit\n"
+               "def fake(traj, *args, **kwargs):\n"
+               "    raise RuntimeError(f'fake fit of {traj.n_d} points')\n"
+               "cli.fit_pareto = fake\n"
+               "try:\n"
+               "    cli.no_such_name\n"
+               "except AttributeError:\n"
+               "    print('AttributeError')\n"
+               "# reading one name binds its module's line, as an import would, so a\n"
+               "# hook set on the library module afterwards does not reach rankflow.cli\n"
+               "raw = cli.build_share_report and limit.y_c\n"
+               "limit.y_c = fake\n"
+               "print(cli.y_c is raw)\n"
+               "limit.y_c = raw\n"
+               "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
 class TestStartUp:
     def run_driver(self, **env):
         base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -746,6 +785,45 @@ class TestStartUp:
 
     def test_user_setting_wins(self):
         assert self.run_driver(OPENBLAS_NUM_THREADS="2")[2] == "2"
+
+    def run_modules(self, *argv):
+        proc = subprocess.run([sys.executable, "-c", MODULES_DRIVER, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return [set(json.loads(line)) for line in proc.stdout.splitlines()
+                if line.startswith("[")]
+
+    def test_import_loads_no_library_module(self):
+        (after_import,) = self.run_modules()
+        assert after_import == {"rankflow.cli"}
+
+    @pytest.mark.parametrize("verb", ["eval", "shares"])
+    def test_tables_load_neither_fitter_nor_simulator(self, tmp_path, verb):
+        if verb == "eval":
+            argv = [verb, "--a", "1", "--b", "1.2", "--n", "10", "--times", "0.5,2"]
+        else:
+            argv = [verb, "--a", "1", "--b", "1.2", "-o", str(tmp_path / "shares.csv")]
+        after_import, after_verb = self.run_modules(*argv)
+        assert after_import == {"rankflow.cli"}
+        assert {"rankflow.dist", "rankflow.limit"} <= after_verb
+        assert not {"rankflow.fit", "rankflow.sim"} & after_verb
+
+    def test_fit_loads_no_simulator(self, tmp_path):
+        csv_path = low_trajectory_csv(tmp_path, sigma=0.0)
+        _, after_fit = self.run_modules("fit", str(csv_path), "-o", str(tmp_path / "f.json"))
+        assert "rankflow.fit" in after_fit and "rankflow.sim" not in after_fit
+
+    def test_hook_set_before_any_verb_is_called(self, tmp_path):
+        # perfbench replaces rankflow.cli names before a verb binds them;
+        # binding must keep the replacement, and unknown names still raise
+        csv_path = low_trajectory_csv(tmp_path, sigma=0.0)
+        proc = subprocess.run([sys.executable, "-c", HOOK_DRIVER, "fit", str(csv_path),
+                               "-o", str(tmp_path / "f.json")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.split() == ["AttributeError", "True"]
+        assert proc.stderr.startswith("rankflow: error: fake fit of ")
+        assert not (tmp_path / "f.json").exists()
 
     def test_lazy_exports_match_the_modules(self):
         # the table of names that `import rankflow` resolves on first use
