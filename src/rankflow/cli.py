@@ -174,6 +174,8 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
         raise ValueError(f"{path}: horizon/observe_every asks for more than "
                          f"{_MAX_GRID_POINTS} observations")
     observe_times = np.arange(every, stop, every)
+    # k * every can land just past a horizon that is a multiple of every
+    np.minimum(observe_times, horizon, out=observe_times)
     snapshots = values.get("snapshots", "0").lower()
     if snapshots not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError(f"{path}: snapshots must be 1, true, yes, 0, false or no, "

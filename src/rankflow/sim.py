@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
+_SUB = 1 << 15  # coins drawn at once by _draw_chunk
 
 
 class CapacityError(RuntimeError):
@@ -49,9 +50,11 @@ class SimulationConfig:
     """Inputs of one run; identical configs give bit-identical runs.
 
     ``rates`` are per-item sales rates (1/hour); ``initial_order`` is the
-    rank permutation at t = 0 (1-based ranks, default: item i starts at
-    rank i + 1). ``observe_times`` is the sorted grid where the boundary,
-    the tracked item, and a snapshot sink's full rankings are recorded.
+    rank permutation at t = 0 (1-based ranks). ``None``, the default, is the
+    identity, item i starting at rank i + 1; it stays ``None`` and no N-sized
+    order is built for it. ``observe_times`` is the sorted grid where the
+    boundary, the tracked item, and a snapshot sink's full rankings are
+    recorded.
     """
 
     rates: np.ndarray
@@ -84,9 +87,7 @@ class SimulationConfig:
         if self.track_item is not None and not _is_integer(self.track_item):
             raise ValueError(f"track_item must be an integer, got {self.track_item!r}")
         n = self.rates.size
-        if self.initial_order is None:
-            self.initial_order = np.arange(1, n + 1, dtype=np.int64)
-        else:
+        if self.initial_order is not None:
             self.initial_order = np.asarray(self.initial_order, dtype=np.int64)
             if (self.initial_order.shape != (n,)
                     or not np.array_equal(np.sort(self.initial_order),
@@ -177,6 +178,10 @@ def _draw_chunk(rng, total_rate: float, t_cursor: float, horizon: float,
     would have made, and a chunk with k < _CHUNK ends the run, so no draw
     follows its coins. That final chunk's times are copied out of the gap
     buffer, which is freed before the run's last observations.
+
+    Each item is written over its slot, so the gaps and the slots are the
+    only chunk-sized arrays: the coins are drawn _SUB at a time, in stream
+    order, and only the events whose coin fails read ``alias``.
     """
     n = accept.size
     times = rng.exponential(1.0 / total_rate, _CHUNK)
@@ -186,12 +191,13 @@ def _draw_chunk(rng, total_rate: float, t_cursor: float, horizon: float,
     slots = rng.random(k)
     rng.bit_generator.advance(_CHUNK - k)
     slots *= n
-    j = slots.view(np.int64)  # each slot's index, written over its draw
-    np.trunc(slots, out=j, casting="unsafe")
-    np.minimum(j, n - 1, out=j)
-    keep = rng.random(k) < accept.take(j)
-    items = alias.take(j)
-    np.copyto(items, j, where=keep)
+    items = slots.view(np.int64)  # each slot's index, written over its draw
+    np.copyto(items, slots, casting="unsafe")  # truncates; a ufunc would copy
+    np.minimum(items, n - 1, out=items)
+    for start in range(0, k, _SUB):
+        j = items[start:start + _SUB]
+        fail = np.flatnonzero(rng.random(j.size) >= accept.take(j))
+        j[fail] = alias.take(j.take(fail))
     return (times if k == _CHUNK else times[:k].copy()), items
 
 
@@ -209,7 +215,7 @@ class _State:
         self.boundary: list[int] = []
         self.tracked_ranks: list[float] = []
         self.snapshot_sink = snapshot_sink
-        # position of each item within the never-sold block
+        # position of each item within the never-sold block (None: i + 1)
         self.init_rank = cfg.initial_order
 
     def apply(self, items: np.ndarray, times: np.ndarray, seq0: int) -> None:
@@ -229,20 +235,31 @@ class _State:
     def _rank_of(self, item: int, n_sold: int) -> int:
         if self.last_seq[item] >= 0:
             return 1 + int(np.count_nonzero(self.last_seq > self.last_seq[item]))
-        never = self.last_seq < 0
-        ahead = int(np.count_nonzero(never & (self.init_rank < self.init_rank[item])))
+        if self.init_rank is None:
+            ahead = int(np.count_nonzero(self.last_seq[:item] < 0))
+        else:
+            never = self.last_seq < 0
+            ahead = int(np.count_nonzero(never & (self.init_rank < self.init_rank[item])))
         return n_sold + ahead + 1
 
     def _all_ranks(self) -> np.ndarray:
-        # the S sold items take ranks 1..S, latest sale first; a never-sold
-        # item follows at S + its initial rank, less the sold items that
-        # started ahead of it (a running count over initial ranks)
+        # the S sold items take ranks 1..S, latest sale first, and the
+        # never-sold follow from S + 1 on in their initial order
         sold = np.flatnonzero(self.last_seq >= 0)
-        ahead = np.zeros(self.init_rank.size + 1, dtype=np.int64)
-        ahead[self.init_rank.take(sold)] = 1
-        np.cumsum(ahead, out=ahead)
-        ranks = ahead.take(self.init_rank)
-        np.subtract(self.init_rank, ranks, out=ranks)
+        if self.init_rank is None:
+            # item i: S + the never-sold count among items 0..i, counted in
+            # the returned array itself
+            ranks = np.empty(self.last_seq.size, dtype=np.int64)
+            np.less(self.last_seq, 0, out=ranks)
+            np.cumsum(ranks, out=ranks)
+        else:
+            # S + its initial rank, less the sold items that started ahead
+            # of it (a running count over initial ranks)
+            ahead = np.zeros(self.init_rank.size + 1, dtype=np.int64)
+            ahead[self.init_rank.take(sold)] = 1
+            np.cumsum(ahead, out=ahead)
+            ranks = ahead.take(self.init_rank)
+            np.subtract(self.init_rank, ranks, out=ranks)
         ranks += sold.size
         ranks[sold.take(np.argsort(self.last_seq.take(sold)))] = np.arange(sold.size, 0, -1)
         return ranks
@@ -259,6 +276,10 @@ def run_simulation(config: SimulationConfig, sink=None,
     at every observation time, in order and repeated times included, as a
     new array that it may keep (``ranks[i]`` is item i's 1-based rank);
     without it no ranking is taken. Neither sink changes the draws.
+
+    A config whose ``initial_order`` is ``None`` starts from the identity
+    order, which the run never builds: a ranking is then one running count
+    of the never-sold items, plus the sold items placed by their latest sale.
     """
     rates = config.rates
     total_rate = float(rates.sum())
@@ -270,6 +291,8 @@ def run_simulation(config: SimulationConfig, sink=None,
 
     rng = np.random.default_rng(config.seed)
     accept, alias = _build_alias(rates)
+    if alias.size < 2 ** 31:
+        alias = alias.astype(np.int32)  # half the bytes; items stay int64
     state = _State(config, snapshot_sink)
     obs = config.observe_times
     obs_idx = 0

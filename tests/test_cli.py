@@ -299,6 +299,20 @@ class TestSimulateCommand:
         assert abs(result.b_star - 0.8) <= 0.05
         assert result.a_star == pytest.approx(5e-4, rel=0.10, abs=0.0)
 
+    def test_grid_that_ends_on_the_horizon_is_accepted(self, tmp_path):
+        # 0.1 + 2 * 0.1 is 0.30000000000000004, just past the horizon
+        config = tmp_path / "sim.cfg"
+        write_sim_config(config, n_items=50, horizon=0.3, observe_every=0.1,
+                         track_item=0, snapshots=1)
+        prefix = tmp_path / "run"
+        assert cli.main(["simulate", str(config), "-o", str(prefix)]) == 0
+        cfg, _ = cli._load_sim_config(str(config))
+        assert cfg.observe_times.size == 3 and cfg.observe_times[-1] == 0.3
+        traj = RankingTrajectory.from_csv(f"{prefix}_trajectory.csv")
+        assert traj.times.tolist() == cfg.observe_times.tolist()
+        assert (tmp_path / "run_snapshot_0002.csv").exists()
+        assert not (tmp_path / "run_snapshot_0003.csv").exists()
+
     def test_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n_items=10\nmystery=1\n")

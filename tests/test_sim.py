@@ -329,7 +329,9 @@ def test_alias_table_with_exact_ties_between_deficits_and_excesses():
 
 def _ranks_by_argsort(last_seq, init_rank):
     """Move-to-front order as one argsort: sold items by latest sale, then
-    the never-sold by initial rank."""
+    the never-sold by initial rank (None: item i starts at rank i + 1)."""
+    if init_rank is None:
+        init_rank = np.arange(1, last_seq.size + 1)
     key = np.where(last_seq >= 0, -1 - last_seq, init_rank)
     ranks = np.empty(key.size, dtype=np.int64)
     ranks[np.argsort(key)] = np.arange(1, key.size + 1)
@@ -367,6 +369,55 @@ def test_all_ranks_memory():
         tracemalloc.stop()
     assert ranks.size == n
     assert peak < 2.5 * n * 8
+
+
+def test_identity_ranking_working_set():
+    # the identity order is never built, and the never-sold items are counted
+    # in the returned array itself: beside it, at most N bytes (here only
+    # the S-sized arrays of the sold items, about 1% of N)
+    n = 200_000
+    state = _state_with_sales(n, 0.01, np.random.default_rng(4), permuted=False)
+    assert state.init_rank is None
+    tracemalloc.start()
+    try:
+        ranks = state._all_ranks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ranks, _ranks_by_argsort(state.last_seq, None))
+    assert peak <= ranks.nbytes + n
+
+
+def test_default_config_builds_no_order():
+    # None stands for the identity order; validating the rates takes byte
+    # masks only, less than one int64 per item
+    rates = np.ones(10 ** 6)
+    tracemalloc.start()
+    try:
+        cfg = SimulationConfig(rates=rates, horizon=1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.initial_order is None
+    assert peak < 8 * rates.size
+
+
+def test_draw_chunk_working_set():
+    # a full chunk holds two chunk-sized arrays, its gaps and its slots (the
+    # items are written over the slots); the coins and the alias reads are
+    # _SUB events at a time
+    rates = discrete_rates(10 ** 5, LOW_A, LOW_B)
+    accept, alias = _build_alias(rates)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        times, items = sim_module._draw_chunk(rng, float(rates.sum()), 0.0, math.inf,
+                                              accept, alias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.size == items.size == sim_module._CHUNK
+    assert peak <= 2 * 8 * sim_module._CHUNK + 2 ** 20
 
 
 def test_sink_streams_the_recorded_events():
@@ -499,7 +550,8 @@ def _full_chunk_events(cfg, chunk):
 @pytest.mark.parametrize("end", ["first chunk", "chunk boundary", "later chunk"])
 def test_trimmed_final_chunk_matches_full_chunk_draws(monkeypatch, end):
     # the final chunk draws only the slots and coins of its events before the
-    # horizon and skips the rest; every kept draw must be the full chunk's
+    # horizon and skips the rest; every kept draw must be the full chunk's,
+    # whether a chunk's coins come in one sub-block or in several
     chunk = 256
     monkeypatch.setattr(sim_module, "_CHUNK", chunk)
     rates = np.geomspace(0.01, 1.0, 50)  # uneven, so most coins decide an item
@@ -510,12 +562,16 @@ def test_trimmed_final_chunk_matches_full_chunk_draws(monkeypatch, end):
                "later chunk": float(long_times[3 * chunk + 100])}[end]
     cfg = SimulationConfig(rates=rates, horizon=horizon, seed=21)
     times, items = _full_chunk_events(cfg, chunk)
-    run = run_simulation(cfg)
-    if end == "chunk boundary":  # a full chunk, then an empty one
-        assert run.total_events == chunk
-    assert run.total_events == times.size
-    np.testing.assert_array_equal(run.event_times, times)
-    np.testing.assert_array_equal(run.event_items, items)
+    # sub-blocks of 48 split every chunk into 5 1/3, and each final chunk
+    # (129, 256 and 101 events) ends partway through one
+    for sub in (sim_module._SUB, 48):
+        monkeypatch.setattr(sim_module, "_SUB", sub)
+        run = run_simulation(cfg)
+        if end == "chunk boundary":  # a full chunk, then an empty one
+            assert run.total_events == chunk
+        assert run.total_events == times.size
+        np.testing.assert_array_equal(run.event_times, times)
+        np.testing.assert_array_equal(run.event_items, items)
 
 
 def test_small_run_memory_floor():
@@ -538,7 +594,8 @@ def _replay_move_to_front(run):
     """Plain-list move-to-front replay of the event log: boundary counts and
     rank vectors at each observation, and first/last sale times."""
     cfg = run.config
-    queue = [int(i) for i in np.argsort(cfg.initial_order)]
+    queue = (list(range(cfg.n_items)) if cfg.initial_order is None
+             else [int(i) for i in np.argsort(cfg.initial_order)])
     first = np.full(cfg.n_items, np.inf)
     last = np.full(cfg.n_items, np.nan)
     pending = cfg.observe_times.tolist()[::-1]
