@@ -181,21 +181,13 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
         raise ValueError(f"{path}: snapshots must be 1, true, yes, 0, false or no, "
                          f"got {values['snapshots']!r}")
     track_item = number("track_item", int) if values.get("track_item") else None
-    initial_order = None
-    if track_item is not None:
-        # the tracked item plays the just-sold observer: it starts at rank 1
-        if not 0 <= track_item < n_items:
-            raise ValueError(f"{path}: track_item out of range")
-        initial_order = np.empty(n_items, dtype=np.int64)
-        initial_order[track_item] = 1
-        others = np.arange(n_items) != track_item
-        initial_order[others] = np.arange(2, n_items + 1)
+    if track_item is not None and not 0 <= track_item < n_items:
+        raise ValueError(f"{path}: track_item out of range")
     return SimulationConfig(
         rates=discrete_rates(n_items, a, b, gamma),
         horizon=horizon,
         seed=seed,
         observe_times=observe_times,
-        initial_order=initial_order,
         track_item=track_item,
         max_events=number("max_events", default="1e8"),
     ), snapshots in ("1", "true", "yes")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import open_csv, read_columns, write_rows
+from ._csvio import finite_float, open_csv, read_columns, write_rows
 from .dist import (SalesRateDistribution, _pareto_band, _pareto_p, band_laplace, band_mass,
                    laplace_transform)
 from .special import _gamma_upper, _gamma_upper_grid  # noqa: F401 (perfbench hooks both)
@@ -270,7 +270,7 @@ class SalesShareReport:
 
     @classmethod
     def from_csv(cls, path) -> "SalesShareReport":
-        cols = read_columns(path, cls.CSV_HEADER, [float] * 5)
+        cols = read_columns(path, cls.CSV_HEADER, [finite_float] * 5)
         return cls(*(np.array(c, dtype=float) for c in cols))
 
 

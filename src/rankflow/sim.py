@@ -5,7 +5,7 @@ event arrives after Exp(sum of rates) and belongs to item i with
 probability w_i / W (alias-table draw, O(1) per event). Rankings are never
 shifted per event; move-to-front order is recovered on demand because at
 any instant the queue reads "items in reverse order of last sale, then the
-never-sold in their initial order". That keeps a run at O(events) plus
+never-sold in index order". That keeps a run at O(events) plus
 O(N + S log S) per observation, S the items sold so far, instead of
 O(events * N).
 
@@ -49,19 +49,18 @@ class CapacityError(RuntimeError):
 class SimulationConfig:
     """Inputs of one run; identical configs give bit-identical runs.
 
-    ``rates`` are per-item sales rates (1/hour); ``initial_order`` is the
-    rank permutation at t = 0 (1-based ranks). ``None``, the default, is the
-    identity, item i starting at rank i + 1; it stays ``None`` and no N-sized
-    order is built for it. ``observe_times`` is the sorted grid where the
-    boundary, the tracked item, and a snapshot sink's full rankings are
-    recorded.
+    ``rates`` are per-item sales rates (1/hour). Item i starts at rank
+    i + 1, except that a ``track_item`` starts at rank 1, as if it had sold
+    at t = 0, with the others in index order below it. For a start order
+    that does not depend on the rates, shuffle ``rates``. ``observe_times``
+    is the sorted grid where the boundary, the tracked item, and a snapshot
+    sink's full rankings are recorded.
     """
 
     rates: np.ndarray
     horizon: float
     seed: int
     observe_times: np.ndarray = field(default_factory=lambda: np.array([]))
-    initial_order: np.ndarray | None = None
     track_item: int | None = None
     max_events: float = 1e8
 
@@ -76,6 +75,8 @@ class SimulationConfig:
         if not 0.0 < self.max_events < math.inf:  # NaN fails too
             raise ValueError("max_events must be positive and finite")
         obs = self.observe_times = np.asarray(self.observe_times, dtype=float)
+        if obs.ndim != 1:
+            raise ValueError(f"observe_times must be a 1-d array, got shape {obs.shape}")
         if not np.all(np.isfinite(obs)) or np.any(np.diff(obs) < 0.0):
             raise ValueError("observe_times must be finite and sorted")
         if obs.size and (obs[0] < 0.0 or obs[-1] > self.horizon):
@@ -86,14 +87,7 @@ class SimulationConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.track_item is not None and not _is_integer(self.track_item):
             raise ValueError(f"track_item must be an integer, got {self.track_item!r}")
-        n = self.rates.size
-        if self.initial_order is not None:
-            self.initial_order = np.asarray(self.initial_order, dtype=np.int64)
-            if (self.initial_order.shape != (n,)
-                    or not np.array_equal(np.sort(self.initial_order),
-                                          np.arange(1, n + 1))):
-                raise ValueError("initial_order must be a permutation of 1..N")
-        if self.track_item is not None and not 0 <= self.track_item < n:
+        if self.track_item is not None and not 0 <= self.track_item < self.rates.size:
             raise ValueError("track_item out of range")
 
     @property
@@ -201,22 +195,31 @@ def _draw_chunk(rng, total_rate: float, t_cursor: float, horizon: float,
     return (times if k == _CHUNK else times[:k].copy()), items
 
 
+_NEVER, _PRE_RUN = -2, -1  # last_seq of an unsold item, and of the tracked one
+
+
 class _State:
     """Mutable per-run arrays updated block by block. Sequence numbers and
     event times never decrease along the run, so an item's latest sale holds
-    both its largest sequence number and its largest time."""
+    both its largest sequence number and its largest time.
+
+    The run's sales are numbered 0, 1, ...; the tracked item starts with a
+    pre-run sale, numbered below all of them and above the never-sold, so it
+    starts at rank 1 and its rank needs no other case. That sale is no sale
+    of the run: the boundary and the sale times count sequence numbers >= 0.
+    """
 
     def __init__(self, cfg: SimulationConfig, snapshot_sink):
         n = cfg.n_items
         self.cfg = cfg
         self.first_time = np.full(n, np.inf)
         self.last_time = np.full(n, -np.inf)
-        self.last_seq = np.full(n, -1, dtype=np.int64)
+        self.last_seq = np.full(n, _NEVER, dtype=np.int64)
+        if cfg.track_item is not None:
+            self.last_seq[cfg.track_item] = _PRE_RUN
         self.boundary: list[int] = []
         self.tracked_ranks: list[float] = []
         self.snapshot_sink = snapshot_sink
-        # position of each item within the never-sold block (None: i + 1)
-        self.init_rank = cfg.initial_order
 
     def apply(self, items: np.ndarray, times: np.ndarray, seq0: int) -> None:
         np.maximum.at(self.last_seq, items, np.arange(seq0, seq0 + items.size))
@@ -224,42 +227,22 @@ class _State:
         np.minimum.at(self.first_time, items, times)
 
     def observe(self, theta: float) -> None:
-        n_sold = int(np.count_nonzero(self.last_seq >= 0))
-        self.boundary.append(n_sold)
+        self.boundary.append(int(np.count_nonzero(self.last_seq >= 0)))
         ti = self.cfg.track_item
         if ti is not None:
-            self.tracked_ranks.append(float(self._rank_of(ti, n_sold)))
+            self.tracked_ranks.append(
+                float(1 + np.count_nonzero(self.last_seq > self.last_seq[ti])))
         if self.snapshot_sink is not None:
             self.snapshot_sink(theta, self._all_ranks())
 
-    def _rank_of(self, item: int, n_sold: int) -> int:
-        if self.last_seq[item] >= 0:
-            return 1 + int(np.count_nonzero(self.last_seq > self.last_seq[item]))
-        if self.init_rank is None:
-            ahead = int(np.count_nonzero(self.last_seq[:item] < 0))
-        else:
-            never = self.last_seq < 0
-            ahead = int(np.count_nonzero(never & (self.init_rank < self.init_rank[item])))
-        return n_sold + ahead + 1
-
     def _all_ranks(self) -> np.ndarray:
-        # the S sold items take ranks 1..S, latest sale first, and the
-        # never-sold follow from S + 1 on in their initial order
-        sold = np.flatnonzero(self.last_seq >= 0)
-        if self.init_rank is None:
-            # item i: S + the never-sold count among items 0..i, counted in
-            # the returned array itself
-            ranks = np.empty(self.last_seq.size, dtype=np.int64)
-            np.less(self.last_seq, 0, out=ranks)
-            np.cumsum(ranks, out=ranks)
-        else:
-            # S + its initial rank, less the sold items that started ahead
-            # of it (a running count over initial ranks)
-            ahead = np.zeros(self.init_rank.size + 1, dtype=np.int64)
-            ahead[self.init_rank.take(sold)] = 1
-            np.cumsum(ahead, out=ahead)
-            ranks = ahead.take(self.init_rank)
-            np.subtract(self.init_rank, ranks, out=ranks)
+        # the S items with a sale, the pre-run one included, take ranks 1..S,
+        # latest sale first; never-sold item i takes S + the never-sold count
+        # among items 0..i, counted in the returned array itself
+        sold = np.flatnonzero(self.last_seq > _NEVER)
+        ranks = np.empty(self.last_seq.size, dtype=np.int64)
+        np.less(self.last_seq, _PRE_RUN, out=ranks)
+        np.cumsum(ranks, out=ranks)
         ranks += sold.size
         ranks[sold.take(np.argsort(self.last_seq.take(sold)))] = np.arange(sold.size, 0, -1)
         return ranks
@@ -277,9 +260,8 @@ def run_simulation(config: SimulationConfig, sink=None,
     new array that it may keep (``ranks[i]`` is item i's 1-based rank);
     without it no ranking is taken. Neither sink changes the draws.
 
-    A config whose ``initial_order`` is ``None`` starts from the identity
-    order, which the run never builds: a ranking is then one running count
-    of the never-sold items, plus the sold items placed by their latest sale.
+    A ranking is one running count of the never-sold items, plus the sold
+    items placed by their latest sale; the start order is never built.
     """
     rates = config.rates
     total_rate = float(rates.sum())
@@ -311,6 +293,8 @@ def run_simulation(config: SimulationConfig, sink=None,
                                    accept, alias)
         n_valid = times.size
         done = n_valid < _CHUNK
+        if done:  # no draw follows: the last rankings run without the alias table
+            del accept, alias
         applied = 0
         # on the final chunk every remaining observation is reachable
         limit = config.horizon if done else float(times[-1])
@@ -385,8 +369,8 @@ def synthesize_noisy_trajectory(dist: SalesRateDistribution, n_titles: int,
                                 seed: int) -> RankingTrajectory:
     """Fit-test fixture: closed-form curve samples plus Gaussian rank noise,
     clamped to the valid rank range [1, n_titles]."""
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not 0.0 <= noise_sigma < math.inf:  # NaN fails too
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     ts = np.asarray(observe_times, dtype=float)
     ranks = n_titles * y_c(dist, ts)
     if noise_sigma > 0.0:

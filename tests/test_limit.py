@@ -289,6 +289,13 @@ class TestShareReport:
         header = path.read_text().splitlines()[0]
         assert header == "r,q,S_potential,S_ranking,ratio"
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_from_csv_rejects_non_finite_numbers(self, tmp_path, bad):
+        path = tmp_path / "shares.csv"
+        path.write_text(f"r,q,S_potential,S_ranking,ratio\n0.1,1,2,1,0.5\n0.2,1,{bad},1,0.5\n")
+        with pytest.raises(ValueError, match=r"shares\.csv:3: .*finite"):
+            SalesShareReport.from_csv(path)
+
     def test_grid_validation(self):
         d = SalesRateDistribution.pareto(1.0, 1.2)
         with pytest.raises(ValueError):

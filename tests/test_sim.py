@@ -6,6 +6,7 @@ import math
 import platform
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -109,13 +110,26 @@ def test_tracked_rank_resets_and_climbs():
             assert traj[after] == 1.0
 
 
-def test_initial_order_respected_before_any_sale():
-    order = np.array([3, 1, 2], dtype=np.int64)
-    cfg = SimulationConfig(rates=np.array([1e-9, 1e-9, 1e-9]), horizon=1.0,
-                           seed=0, observe_times=np.array([0.5]), initial_order=order)
-    _, taken = with_rankings(cfg)
-    assert len(taken) == 1
-    np.testing.assert_array_equal(taken[0][1], order)
+def test_tracked_item_starts_at_rank_one_as_if_just_sold():
+    # the tracked item starts ahead of every other item, which keep their
+    # index order; its start is no sale of the run, so the events and the
+    # sale bookkeeping are those of the same run untracked
+    k = 123
+    cfg = SimulationConfig(rates=discrete_rates(300, 0.05, 0.8), horizon=30.0, seed=11,
+                           observe_times=np.r_[0.0, np.linspace(0.5, 30.0, 15)],
+                           track_item=k)
+    run, taken = with_rankings(cfg)
+    assert run.event_times[0] > 0.0
+    assert run.tracked_trajectory.ranks[0] == 1.0
+    want = np.r_[np.arange(2, k + 2), 1, np.arange(k + 2, 301)]
+    np.testing.assert_array_equal(taken[0][1], want)
+    untracked = run_simulation(dataclasses.replace(cfg, track_item=None))
+    np.testing.assert_array_equal(run.event_times, untracked.event_times)
+    np.testing.assert_array_equal(run.event_items, untracked.event_items)
+    np.testing.assert_array_equal(run.boundary_counts, untracked.boundary_counts)
+    np.testing.assert_array_equal(run.first_sale, untracked.first_sale)
+    np.testing.assert_array_equal(run.last_sale, untracked.last_sale)
+    assert run.boundary_counts[0] == 0
 
 
 def test_capacity_error():
@@ -148,13 +162,13 @@ def test_joint_measure_rank_marginal_is_uniform():
 
 
 def test_joint_measure_product_form_at_time_zero():
-    # with a rate-independent initial order the t = 0 measure factorizes
+    # with a rate-independent initial order (rates shuffled over the
+    # identity start) the t = 0 measure factorizes
     n = 2000
     rng = np.random.default_rng(8)
-    rates = discrete_rates(n, 1.0, 1.5)
-    order = rng.permutation(n).astype(np.int64) + 1
+    rates = rng.permutation(discrete_rates(n, 1.0, 1.5))
     cfg = SimulationConfig(rates=rates, horizon=1.0, seed=1,
-                           observe_times=np.array([0.0]), initial_order=order)
+                           observe_times=np.array([0.0]))
     _, taken = with_rankings(cfg)
     w_edges = np.array([1.0, 2.0, np.inf])
     y_edges = np.array([0.0, 0.5, 1.0])
@@ -167,17 +181,16 @@ def test_joint_measure_product_form_at_time_zero():
 
 
 def test_joint_measure_matches_nonstationary_formula():
-    # early snapshot with rate-independent initial ranks: beyond the swept
-    # boundary the product-form branch applies
+    # early snapshot with rate-independent initial ranks (rates shuffled over
+    # the identity start): beyond the swept boundary the product-form branch
+    # applies
     from rankflow.limit import nonstationary_joint_cdf
     n = 10 ** 5
     d = SalesRateDistribution.pareto(1.0, 1.5)
     t_snap = 0.5
     rng = np.random.default_rng(17)
-    order = rng.permutation(n).astype(np.int64) + 1
-    cfg = SimulationConfig(rates=discrete_rates(n, 1.0, 1.5), horizon=t_snap,
-                           seed=31, observe_times=np.array([t_snap]),
-                           initial_order=order)
+    cfg = SimulationConfig(rates=rng.permutation(discrete_rates(n, 1.0, 1.5)),
+                           horizon=t_snap, seed=31, observe_times=np.array([t_snap]))
     _, taken = with_rankings(cfg)
     ranks = taken[0][1]
     scaled = (ranks - 1.0) / n
@@ -225,6 +238,15 @@ def test_synthesize_noise_scale_and_seed_variation():
     assert sigma / 3.0 <= resid.std() <= sigma * 3.0
     with pytest.raises(ValueError):
         synthesize_noisy_trajectory(d, 100, ts, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_synthesize_rejects_a_noise_sigma_that_is_not_finite(sigma):
+    # NaN used to give the noise-free curve labelled sigma=nan, and inf to
+    # clip every rank to 1 or N
+    d = SalesRateDistribution.pareto(LOW_A, LOW_B)
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        synthesize_noisy_trajectory(d, 100, np.linspace(10.0, 100.0, 5), sigma, seed=0)
 
 
 def test_event_and_snapshot_csv_readers(tmp_path):
@@ -327,48 +349,36 @@ def test_alias_table_with_exact_ties_between_deficits_and_excesses():
         np.testing.assert_array_equal(got[1], want[1])
 
 
-def _ranks_by_argsort(last_seq, init_rank):
-    """Move-to-front order as one argsort: sold items by latest sale, then
-    the never-sold by initial rank (None: item i starts at rank i + 1)."""
-    if init_rank is None:
-        init_rank = np.arange(1, last_seq.size + 1)
-    key = np.where(last_seq >= 0, -1 - last_seq, init_rank)
+def _ranks_by_argsort(last_seq, track_item):
+    """Move-to-front order as one argsort: sold items by latest sale, then a
+    tracked item that has not sold, then the never-sold in index order."""
+    key = np.where(last_seq >= 0, -1 - last_seq, np.arange(1, last_seq.size + 1))
+    if track_item is not None and last_seq[track_item] < 0:
+        key[track_item] = 0
     ranks = np.empty(key.size, dtype=np.int64)
     ranks[np.argsort(key)] = np.arange(1, key.size + 1)
     return ranks
 
 
-def _state_with_sales(n, sold, rng, permuted):
-    cfg = SimulationConfig(rates=np.ones(n), horizon=1.0, seed=0,
-                           initial_order=rng.permutation(n) + 1 if permuted else None)
+def _state_with_sales(n, sold, rng, track_item=None):
+    cfg = SimulationConfig(rates=np.ones(n), horizon=1.0, seed=0, track_item=track_item)
     state = sim_module._State(cfg, None)
-    state.last_seq = np.where(rng.random(n) < sold, rng.permutation(3 * n)[:n], -1)
+    state.last_seq = np.where(rng.random(n) < sold, rng.permutation(3 * n)[:n],
+                              state.last_seq)
     return state
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 500])
 @pytest.mark.parametrize("sold", [0.0, 0.01, 0.5, 1.0], ids=["none", "few", "half", "all"])
-@pytest.mark.parametrize("permuted", [False, True], ids=["identity", "permuted"])
-def test_all_ranks_match_an_argsort_reference(n, sold, permuted):
+@pytest.mark.parametrize("tracked", [None, "first", "middle", "last"],
+                         ids=["identity", "tracked-first", "tracked-middle", "tracked-last"])
+def test_all_ranks_match_an_argsort_reference(n, sold, tracked):
     rng = np.random.default_rng(n)
+    track_item = {None: None, "first": 0, "middle": n // 2, "last": n - 1}[tracked]
     for _ in range(5):
-        state = _state_with_sales(n, sold, rng, permuted)
+        state = _state_with_sales(n, sold, rng, track_item)
         np.testing.assert_array_equal(state._all_ranks(),
-                                      _ranks_by_argsort(state.last_seq, state.init_rank))
-
-
-def test_all_ranks_memory():
-    # about 1% sold: one N-sized scratch array beside the returned ranks
-    n = 200_000
-    state = _state_with_sales(n, 0.01, np.random.default_rng(4), permuted=True)
-    tracemalloc.start()
-    try:
-        ranks = state._all_ranks()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ranks.size == n
-    assert peak < 2.5 * n * 8
+                                      _ranks_by_argsort(state.last_seq, track_item))
 
 
 def test_identity_ranking_working_set():
@@ -376,8 +386,7 @@ def test_identity_ranking_working_set():
     # in the returned array itself: beside it, at most N bytes (here only
     # the S-sized arrays of the sold items, about 1% of N)
     n = 200_000
-    state = _state_with_sales(n, 0.01, np.random.default_rng(4), permuted=False)
-    assert state.init_rank is None
+    state = _state_with_sales(n, 0.01, np.random.default_rng(4))
     tracemalloc.start()
     try:
         ranks = state._all_ranks()
@@ -389,17 +398,17 @@ def test_identity_ranking_working_set():
 
 
 def test_default_config_builds_no_order():
-    # None stands for the identity order; validating the rates takes byte
-    # masks only, less than one int64 per item
+    # no start order is built, for a tracked item either; validating the
+    # rates takes byte masks only, less than one int64 per item
     rates = np.ones(10 ** 6)
-    tracemalloc.start()
-    try:
-        cfg = SimulationConfig(rates=rates, horizon=1.0, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cfg.initial_order is None
-    assert peak < 8 * rates.size
+    for track_item in (None, rates.size - 1):
+        tracemalloc.start()
+        try:
+            SimulationConfig(rates=rates, horizon=1.0, seed=0, track_item=track_item)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rates.size
 
 
 def test_draw_chunk_working_set():
@@ -574,6 +583,27 @@ def test_trimmed_final_chunk_matches_full_chunk_draws(monkeypatch, end):
         np.testing.assert_array_equal(run.event_items, items)
 
 
+def test_final_observations_run_without_the_alias_table(monkeypatch):
+    # no draw follows the final chunk, so its observations (for a 10^6-item
+    # run with one snapshot at the horizon, the run's peak) see the table freed
+    monkeypatch.setattr(sim_module, "_CHUNK", 256)
+    tables, build = [], sim_module._build_alias
+
+    def build_and_watch(weights):
+        accept, alias = build(weights)
+        tables.append(weakref.ref(accept))
+        return accept, alias
+
+    monkeypatch.setattr(sim_module, "_build_alias", build_and_watch)
+    alive = []
+    cfg = SimulationConfig(rates=np.geomspace(0.01, 1.0, 50), horizon=40.0, seed=21,
+                           observe_times=[1.0, 40.0])
+    run = run_simulation(cfg, snapshot_sink=lambda theta, ranks:
+                         alive.append(tables[0]() is not None))
+    assert run.total_events > 256
+    assert alive == [True, False]
+
+
 def test_small_run_memory_floor():
     # the final chunk holds only its events' slots and coins, and the chunk
     # before it is dropped first; what is left is the 4 MB buffer of gaps
@@ -594,8 +624,9 @@ def _replay_move_to_front(run):
     """Plain-list move-to-front replay of the event log: boundary counts and
     rank vectors at each observation, and first/last sale times."""
     cfg = run.config
-    queue = (list(range(cfg.n_items)) if cfg.initial_order is None
-             else [int(i) for i in np.argsort(cfg.initial_order)])
+    queue = list(range(cfg.n_items))
+    if cfg.track_item is not None:  # it starts at the front, as if just sold
+        queue.insert(0, queue.pop(cfg.track_item))
     first = np.full(cfg.n_items, np.inf)
     last = np.full(cfg.n_items, np.nan)
     pending = cfg.observe_times.tolist()[::-1]
@@ -630,23 +661,23 @@ def test_bookkeeping_matches_move_to_front_replay(monkeypatch, chunk):
     rates = np.concatenate((np.geomspace(0.02, 4.0, 13), [1e-9]))  # the last never sells
     observe = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 800.0, 60)), [800.0]))
     observe = np.sort(np.r_[observe, observe[[0, 30, 30, -1]]])  # repeated times too
-    cfg = SimulationConfig(rates=rates, horizon=800.0, seed=3,
-                           initial_order=rng.permutation(rates.size) + 1,
-                           observe_times=observe)
-    run, taken = with_rankings(cfg)
-    assert run.total_events > 20 * (chunk or 1)
-    boundary, snapshots, first, last = _replay_move_to_front(run)
-    np.testing.assert_array_equal(run.boundary_counts, boundary)
-    assert [t for t, _ in taken] == observe.tolist()
-    for (_, ranks), want in zip(taken, snapshots, strict=True):
-        np.testing.assert_array_equal(ranks, want)
-    distinct, first_of = np.unique(observe, return_index=True)
-    tracked = run_simulation(dataclasses.replace(cfg, observe_times=distinct, track_item=0))
-    np.testing.assert_array_equal(tracked.tracked_trajectory.ranks,
-                                  [float(snapshots[k][0]) for k in first_of])
-    np.testing.assert_array_equal(run.first_sale, first)
-    np.testing.assert_array_equal(run.last_sale, last)
-    assert boundary[0] == 0 and math.isinf(first[-1])
+    untracked = SimulationConfig(rates=rates, horizon=800.0, seed=3, observe_times=observe)
+    # the tracked run starts item 6 at the front and must not repeat times
+    tracked = dataclasses.replace(untracked, observe_times=np.unique(observe), track_item=6)
+    for cfg in (untracked, tracked):
+        run, taken = with_rankings(cfg)
+        assert run.total_events > 20 * (chunk or 1)
+        boundary, snapshots, first, last = _replay_move_to_front(run)
+        np.testing.assert_array_equal(run.boundary_counts, boundary)
+        assert [t for t, _ in taken] == cfg.observe_times.tolist()
+        for (_, ranks), want in zip(taken, snapshots, strict=True):
+            np.testing.assert_array_equal(ranks, want)
+        np.testing.assert_array_equal(run.first_sale, first)
+        np.testing.assert_array_equal(run.last_sale, last)
+        assert boundary[0] == 0 and math.isinf(first[-1])
+    np.testing.assert_array_equal(run.tracked_trajectory.ranks,
+                                  [float(ranks[6]) for _, ranks in taken])
+    assert run.tracked_trajectory.ranks[0] == 1.0
 
 
 @pytest.mark.parametrize("bad", [{"rates": np.array([1.0, math.inf])},
@@ -656,6 +687,16 @@ def test_config_rejects_non_finite_inputs(bad):
     kwargs = dict(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="finite"):
         SimulationConfig(**{**kwargs, **bad})
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), ()], ids=["1x2", "2x1", "scalar"])
+def test_config_rejects_observe_times_that_are_not_1d(shape):
+    # (1, 2) used to raise numpy's "truth value ... is ambiguous", and
+    # (2, 1) a TypeError
+    times = np.linspace(0.25, 0.5, 2).reshape(shape) if shape else np.float64(0.5)
+    with pytest.raises(ValueError, match="observe_times must be a 1-d array"):
+        SimulationConfig(rates=np.array([1.0, 2.0]), horizon=1.0, seed=0,
+                         observe_times=times)
 
 
 def test_config_rejects_repeated_times_with_a_tracked_item():
