@@ -10,6 +10,7 @@ the boundary only.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -19,6 +20,9 @@ import sys
 # time, and rankflow's only BLAS calls are small dot products. A value the
 # user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+if __name__ == "__main__":  # a program run; importers keep their collector
+    gc.disable()  # numpy's import builds no garbage; process_entry freezes it all
 
 import numpy as np  # noqa: E402
 
@@ -345,10 +349,25 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"rankflow: error: {exc}", file=sys.stderr)
         return 1
 
 
+def process_entry() -> None:
+    """main as the whole process: `python -m rankflow.cli` and `rankflow`.
+
+    Start-up's objects, then at exit the run's, are frozen out of the cyclic
+    collector: none is garbage, and the exit collections would walk them all.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_entry()

@@ -237,6 +237,9 @@ def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.n
     if not 0.0 <= gamma < math.inf:
         raise ValueError("cutoff ratio gamma must be finite and non-negative")
     n0 = gamma * n_items
+    if not n0 < math.inf:
+        raise ValueError(f"head size n0 = gamma * n_items = {gamma:g} * {n_items} "
+                         "exceeds the double range; lower gamma or n_items")
     rates = np.arange(1, n_items + 1, dtype=float)  # i, then w_i in place
     rates += n0
     np.divide(n_items + n0, rates, out=rates)

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, and round trips."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -554,6 +555,38 @@ class TestSimulateCommand:
         assert out == "" and err.startswith("rankflow: error:") and err.count("\n") == 1
         assert not (tmp_path / "x_events.csv").exists()
 
+    def test_head_past_double_range_is_a_one_line_error(self, tmp_path):
+        # n0 = gamma N = inf printed numpy's "invalid value encountered in
+        # divide", then blamed the NaN rates on a top rate past the double range
+        config = tmp_path / "head.cfg"
+        write_sim_config(config, n_items=10, horizon=1.0, observe_every=1.0, track_item=0,
+                         gamma=1e308)
+        proc = subprocess.run([sys.executable, "-m", "rankflow.cli", "simulate", str(config),
+                               "-o", str(tmp_path / "x")], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == "" and "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("rankflow: error:") and proc.stderr.count("\n") == 1
+        assert "gamma" in proc.stderr and "n_items" in proc.stderr
+        assert not (tmp_path / "x_events.csv").exists()
+
+    def test_catalog_too_large_to_allocate_is_a_one_line_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # n_items = 1e10 under a 3 GB address-space limit ended in a traceback
+        # from numpy's _ArrayMemoryError. The failure is faked, never provoked:
+        # on an overcommitting kernel a real attempt can exhaust the machine.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(10000000000,) and data type float64")
+
+        monkeypatch.setattr(cli, "discrete_rates", no_memory)
+        config = tmp_path / "big.cfg"
+        write_sim_config(config, n_items=10**10, horizon=1.0, observe_every=1.0, track_item=0)
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("rankflow: error: Unable to allocate 74.5 GiB")
+        assert not (tmp_path / "x_events.csv").exists()
+
 
 def written_text(header, fmt, *columns):
     buf = io.BytesIO()
@@ -783,6 +816,22 @@ HOOK_DRIVER = ("import sys\n"
                "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
+# Prints the collector's state before and after `import rankflow.cli`.
+GC_DRIVER = ("import gc\n"
+             "print(gc.isenabled(), gc.get_freeze_count())\n"
+             "import rankflow.cli\n"
+             "print(gc.isenabled(), gc.get_freeze_count())\n")
+
+# Runs the process entry on the arguments given, with fit reporting
+# non-convergence, and prints the collector's state from an atexit handler.
+ENTRY_DRIVER = ("import atexit, gc\n"
+                "import rankflow.cli as cli\n"
+                "from rankflow.fit import FitResult\n"
+                "cli.fit_pareto = lambda *a, **k: FitResult(1.0, 1.0, 0.5, 1.0, 1.0, False, 6)\n"
+                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+                "cli.process_entry()\n")
+
+
 class TestStartUp:
     def run_driver(self, **env):
         base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -840,6 +889,61 @@ class TestStartUp:
         assert proc.stdout.split() == ["AttributeError", "True"]
         assert proc.stderr.startswith("rankflow: error: fake fit of ")
         assert not (tmp_path / "f.json").exists()
+
+    def test_import_leaves_the_collector_alone(self):
+        proc = subprocess.run([sys.executable, "-c", GC_DRIVER], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.splitlines()
+        assert before.startswith("True ") and after == before
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(["eval", "--a", "1", "--b", "1.2", "--n", "10", "--times", "0.5,2"]) == 0
+        assert before[0] and (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["shares", "--a", "1", "--b", "1.2", "--r-grid", "0.01:0.9:0.01", "-o", "shares.csv"],
+        ["eval", "--a", "1", "--b", "1.2", "--n", "10", "--t-grid", "1:5000:1"],
+    ], ids=["shares", "eval"])
+    def test_module_entry_writes_what_main_writes(self, tmp_path, capsys, monkeypatch, argv):
+        # exit 0: every output file complete and stdout flushed at exit
+        entry, direct = tmp_path / "entry", tmp_path / "main"
+        entry.mkdir()
+        direct.mkdir()
+        # the package's own location, as PYTHONPATH may be relative
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(rankflow.__path__[0])}
+        proc = subprocess.run([sys.executable, "-m", "rankflow.cli", *argv], cwd=entry,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        monkeypatch.chdir(direct)
+        assert cli.main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert sorted(p.name for p in entry.iterdir()) == sorted(p.name for p in direct.iterdir())
+        for path in direct.iterdir():
+            assert read_raw(entry / path.name) == read_raw(path)
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["shares", "--a", "1.0"], "required: --b"),
+        (["eval", "--a", "1", "--b", "1.2", "--n", "0", "--times", "1"], "--n must be >= 1"),
+    ], ids=["usage", "input"])
+    def test_module_entry_exits_one(self, argv, needle):
+        proc = subprocess.run([sys.executable, "-m", "rankflow.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == "" and needle in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_entry_exits_two_with_the_fit_written(self, tmp_path):
+        # non-convergence keeps its exit code through the entry's freeze, the
+        # fit file is written, and atexit handlers still run
+        csv_path = low_trajectory_csv(tmp_path, sigma=0.0)
+        out = tmp_path / "f.json"
+        proc = subprocess.run([sys.executable, "-c", ENTRY_DRIVER, "fit", str(csv_path),
+                               "-o", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        fit_line, at_exit = proc.stdout.splitlines()
+        assert "converged=False" in fit_line and at_exit == "True True"
+        assert json.loads(out.read_text())["converged"] is False
 
     def test_lazy_exports_match_the_modules(self):
         # the table of names that `import rankflow` resolves on first use

@@ -53,6 +53,15 @@ def test_cutoff_beyond_double_range_is_rejected(a, b, gamma):
         SalesRateDistribution.pareto_cutoff(a, b, gamma)
 
 
+@pytest.mark.parametrize("n_items, gamma", [(10, 1e308), (10 ** 6, 1e303)])
+def test_discrete_rates_reject_head_past_double_range(n_items, gamma):
+    # an infinite n0 = gamma N used to reach np.divide as inf / inf: a
+    # RuntimeWarning (an error under this suite's filterwarnings), then NaN
+    # rates reported as a top rate past the double range
+    with pytest.raises(ValueError, match=r"gamma \* n_items"):
+        discrete_rates(n_items, 1.0, 1.5, gamma)
+
+
 def test_cutoff_near_double_range_is_finite():
     dist = SalesRateDistribution.pareto_cutoff(1.0, 0.01, 1e-3)
     assert math.isfinite(dist.support()[1]) and math.isfinite(dist.mean_rate())
