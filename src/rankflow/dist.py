@@ -18,6 +18,7 @@ taken at the ends of a rate band by :func:`_pareto_band`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +233,8 @@ def discrete_rates(n_items: int, a: float, b: float, gamma: float = 0.0) -> np.n
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
+    if n_items > sys.float_info.max:  # an int compares with a float exactly
+        raise ValueError("n_items exceeds the double range")
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("rate scale a and exponent b must be finite and positive")
     if not 0.0 <= gamma < math.inf:

@@ -97,13 +97,16 @@ class SimulationConfig:
 
 @dataclass
 class SimulationRun:
-    """Event log (empty when a sink took it), per-item sale summaries, and
-    observation data."""
+    """Event log (empty when a sink took it) and observation data.
+
+    A run keeps no per-item sale times: each item's first and latest sale
+    time are exact reductions of the event log, ``np.minimum.at`` and
+    ``np.maximum.at`` of ``event_times`` over ``event_items``, that a caller
+    can take from a kept log or inside its own sink.
+    """
 
     config: SimulationConfig
     total_events: int
-    first_sale: np.ndarray            # time of first sale per item, inf if never
-    last_sale: np.ndarray             # time of latest sale per item, nan if never
     event_times: np.ndarray
     event_items: np.ndarray
     observe_times: np.ndarray
@@ -128,12 +131,17 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly 1 keep themselves. With D and E the running sums of deficits and
     excesses (both non-decreasing), every hand-over follows from one merge:
     where each E_k falls among the D.
+
+    Beside the table, the build holds a byte mask of the small items, one
+    8-byte value per small item at a time (their running deficits, then their
+    lenders) and arrays over the large items.
     """
     n = weights.size
     accept = weights * (n / weights.sum())  # the scaled weights, clipped to 1 below
     alias = np.arange(n, dtype=np.int64)
-    small, large = np.flatnonzero(accept < 1.0), np.flatnonzero(accept > 1.0)
-    d_cum = accept.take(small)
+    is_small, large = accept < 1.0, np.flatnonzero(accept > 1.0)
+    d_cum = accept[is_small]
+    n_small = d_cum.size
     np.subtract(1.0, d_cum, out=d_cum)
     np.cumsum(d_cum, out=d_cum)
     e_cum = accept.take(large)
@@ -147,14 +155,27 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # large 0. Rounding can leave a tail past the last large item, and those
     # keep themselves as alias (mass 1, off by rounding only)
     j = np.searchsorted(d_cum, e_cum, side="left")
-    given = np.repeat(large, np.diff(j, prepend=0))[:small.size - 1]
-    alias[small[1:given.size + 1]] = given
-    alias[small[:1]] = large[0]
     # large k runs dry at the first D_j >= E_k (small j straddles E_k, so it
     # was given to k or an earlier large item) and borrows D_j - E_k from k + 1
-    dry = np.flatnonzero(j[:-1] < small.size)
+    dry = np.flatnonzero(j[:-1] < n_small)
     accept[large[dry]] = np.clip(1.0 - (d_cum[j[dry]] - e_cum[dry]), 0.0, 1.0)
     alias[large[dry]] = large[dry + 1]
+    del d_cum, e_cum, dry
+    # each small item's lender, in small-item order, as a running sum of
+    # steps: large 0 at small 0, and large k - large k-1 at small j[k-1] + 1,
+    # where borrowing from k starts. The tail from small j[-1] + 1 on steps to
+    # -1 and is then pointed at itself; steps past the last small item land
+    # in two spare slots
+    j += 1
+    lender = np.zeros(n_small + 2, dtype=np.int64)
+    lender[0] = large[0]
+    np.add.at(lender, j[:-1], np.diff(large))
+    lender[j[-1]] -= large[-1] + 1
+    np.cumsum(lender, out=lender)
+    np.place(alias, is_small, lender)  # reads the first n_small lenders
+    if j[-1] < n_small:
+        tail = np.flatnonzero(alias < 0)
+        alias[tail] = tail
     return accept, alias
 
 
@@ -199,32 +220,27 @@ _NEVER, _PRE_RUN = -2, -1  # last_seq of an unsold item, and of the tracked one
 
 
 class _State:
-    """Mutable per-run arrays updated block by block. Sequence numbers and
-    event times never decrease along the run, so an item's latest sale holds
-    both its largest sequence number and its largest time.
+    """Per-run state updated block by block: each item's latest sale number,
+    the state's one N-sized array. Sequence numbers never decrease along the
+    run, so an item's latest sale holds its largest one.
 
     The run's sales are numbered 0, 1, ...; the tracked item starts with a
     pre-run sale, numbered below all of them and above the never-sold, so it
     starts at rank 1 and its rank needs no other case. That sale is no sale
-    of the run: the boundary and the sale times count sequence numbers >= 0.
+    of the run: the boundary counts sequence numbers >= 0.
     """
 
     def __init__(self, cfg: SimulationConfig, snapshot_sink):
-        n = cfg.n_items
         self.cfg = cfg
-        self.first_time = np.full(n, np.inf)
-        self.last_time = np.full(n, -np.inf)
-        self.last_seq = np.full(n, _NEVER, dtype=np.int64)
+        self.last_seq = np.full(cfg.n_items, _NEVER, dtype=np.int64)
         if cfg.track_item is not None:
             self.last_seq[cfg.track_item] = _PRE_RUN
         self.boundary: list[int] = []
         self.tracked_ranks: list[float] = []
         self.snapshot_sink = snapshot_sink
 
-    def apply(self, items: np.ndarray, times: np.ndarray, seq0: int) -> None:
+    def apply(self, items: np.ndarray, seq0: int) -> None:
         np.maximum.at(self.last_seq, items, np.arange(seq0, seq0 + items.size))
-        np.maximum.at(self.last_time, items, times)
-        np.minimum.at(self.first_time, items, times)
 
     def observe(self, theta: float) -> None:
         self.boundary.append(int(np.count_nonzero(self.last_seq >= 0)))
@@ -302,12 +318,12 @@ def run_simulation(config: SimulationConfig, sink=None,
             theta = obs[obs_idx]
             cut = int(np.searchsorted(times, theta, side="right"))
             if cut > applied:
-                state.apply(items[applied:cut], times[applied:cut], seq_base + applied)
+                state.apply(items[applied:cut], seq_base + applied)
                 applied = cut
             state.observe(theta)
             obs_idx += 1
         if applied < n_valid:
-            state.apply(items[applied:], times[applied:], seq_base + applied)
+            state.apply(items[applied:], seq_base + applied)
         if n_valid:
             sink(times, items)
         seq_base += n_valid
@@ -321,13 +337,9 @@ def run_simulation(config: SimulationConfig, sink=None,
             times=obs.copy(), ranks=np.array(state.tracked_ranks),
             meta=f"simulated item {config.track_item}, seed {config.seed}")
 
-    last_sale = state.last_time
-    last_sale[state.last_seq < 0] = np.nan
     return SimulationRun(
         config=config,
         total_events=seq_base,
-        first_sale=state.first_time,
-        last_sale=last_sale,
         event_times=np.concatenate(ev_times),
         event_items=np.concatenate(ev_items),
         observe_times=obs.copy(),

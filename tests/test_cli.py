@@ -569,6 +569,20 @@ class TestSimulateCommand:
         assert "gamma" in proc.stderr and "n_items" in proc.stderr
         assert not (tmp_path / "x_events.csv").exists()
 
+    def test_n_items_past_double_range_is_a_one_line_error(self, tmp_path):
+        # n_items = 10^400 ended in a traceback: OverflowError from the head
+        # size gamma * n_items
+        config = tmp_path / "huge.cfg"
+        write_sim_config(config, n_items=10 ** 400, horizon=1.0, observe_every=1.0,
+                         track_item=0)
+        proc = subprocess.run([sys.executable, "-m", "rankflow.cli", "simulate", str(config),
+                               "-o", str(tmp_path / "x")], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("rankflow: error:") and proc.stderr.count("\n") == 1
+        assert "n_items" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
+
     def test_catalog_too_large_to_allocate_is_a_one_line_error(self, tmp_path, capsys,
                                                                monkeypatch):
         # n_items = 1e10 under a 3 GB address-space limit ended in a traceback

@@ -62,6 +62,12 @@ def test_discrete_rates_reject_head_past_double_range(n_items, gamma):
         discrete_rates(n_items, 1.0, 1.5, gamma)
 
 
+def test_discrete_rates_reject_n_items_past_double_range():
+    # n0 = gamma * n_items raised a bare OverflowError converting the int
+    with pytest.raises(ValueError, match="n_items exceeds the double range"):
+        discrete_rates(10 ** 400, 1.0, 1.5)
+
+
 def test_cutoff_near_double_range_is_finite():
     dist = SalesRateDistribution.pareto_cutoff(1.0, 0.01, 1e-3)
     assert math.isfinite(dist.support()[1]) and math.isfinite(dist.mean_rate())

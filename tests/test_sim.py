@@ -34,6 +34,16 @@ def with_rankings(cfg):
     return run_simulation(cfg, snapshot_sink=lambda t, r: taken.append((t, r))), taken
 
 
+def sale_times(run):
+    """Each item's first and latest sale time, reduced from the run's event
+    log: inf and NaN for an item that never sold."""
+    first, last = np.full(run.n_items, np.inf), np.full(run.n_items, -np.inf)
+    np.minimum.at(first, run.event_items, run.event_times)
+    np.maximum.at(last, run.event_items, run.event_times)
+    last[last == -np.inf] = np.nan
+    return first, last
+
+
 def small_run(**overrides):
     kwargs = dict(rates=discrete_rates(300, 0.05, 0.8), horizon=30.0, seed=11,
                   observe_times=np.linspace(0.0, 30.0, 16), track_item=123)
@@ -76,8 +86,9 @@ def test_snapshots_are_permutations():
 
 def test_boundary_separates_sold_from_never_sold():
     run, taken = small_run()
+    first, _ = sale_times(run)
     for (theta, ranks), count in zip(taken, run.boundary_counts):
-        sold = run.first_sale <= theta
+        sold = first <= theta
         assert int(sold.sum()) == count
         if sold.any():
             assert ranks[sold].max() == count
@@ -127,8 +138,8 @@ def test_tracked_item_starts_at_rank_one_as_if_just_sold():
     np.testing.assert_array_equal(run.event_times, untracked.event_times)
     np.testing.assert_array_equal(run.event_items, untracked.event_items)
     np.testing.assert_array_equal(run.boundary_counts, untracked.boundary_counts)
-    np.testing.assert_array_equal(run.first_sale, untracked.first_sale)
-    np.testing.assert_array_equal(run.last_sale, untracked.last_sale)
+    for got, want in zip(sale_times(run), sale_times(untracked), strict=True):
+        np.testing.assert_array_equal(got, want)
     assert run.boundary_counts[0] == 0
 
 
@@ -349,6 +360,20 @@ def test_alias_table_with_exact_ties_between_deficits_and_excesses():
         np.testing.assert_array_equal(got[1], want[1])
 
 
+def test_alias_table_rounding_tail_keeps_itself():
+    # the scaled deficits of items 3..5 sum past the excesses of items 0..2 by
+    # rounding alone, so item 5 is left past the last large item: the build
+    # keeps it as its own alias, where the one-at-a-time loop would lend it to
+    # item 2; both tables give every item its scaled weight to rounding
+    w = np.array([1.0, 1.0, 1.0, 0.9999999999999993, 0.9999999999999993,
+                  0.9999999999999996])
+    accept, alias = _build_alias(w)
+    assert alias.tolist() == [1, 2, 2, 0, 2, 5]
+    assert _alias_by_loop(w * (w.size / w.sum()))[1].tolist() == [1, 2, 2, 0, 2, 2]
+    np.testing.assert_allclose(_implied_weights(accept, alias), w * (w.size / w.sum()),
+                               rtol=0.0, atol=np.finfo(float).eps)
+
+
 def _ranks_by_argsort(last_seq, track_item):
     """Move-to-front order as one argsort: sold items by latest sale, then a
     tracked item that has not sold, then the never-sold in index order."""
@@ -469,7 +494,7 @@ def test_snapshot_sink_receives_the_rankings_instead_of_the_run(monkeypatch):
     monkeypatch.setattr(sim_module._State, "_all_ranks", no_ranking)
     plain = run_simulation(cfg)
     np.testing.assert_array_equal(plain.event_times, streamed.event_times)
-    np.testing.assert_array_equal(plain.first_sale, streamed.first_sale)
+    np.testing.assert_array_equal(sale_times(plain)[0], sale_times(streamed)[0])
     np.testing.assert_array_equal(plain.boundary_counts, streamed.boundary_counts)
 
 
@@ -533,7 +558,7 @@ def test_sale_times_match_golden_bytes():
                            seed=9, observe_times=np.array([10.0, 150.0]))
     run = run_simulation(cfg)
     assert run.total_events == 1433052
-    assert sha256_of(run.first_sale, run.last_sale) == (
+    assert sha256_of(*sale_times(run)) == (
         "beb9f86e2d7c4742230f9f9e9c1d64045e7d17e1636e03794d5d7b05a2a56282")
 
 
@@ -620,6 +645,23 @@ def test_small_run_memory_floor():
     assert peak < 8 * 2 ** 20
 
 
+def test_whole_run_memory_bound():
+    # at N = 10^6 the per-item arrays set the peak: the alias table and its
+    # build (a byte mask and one int64 per small item), then the latest sale
+    # numbers and the ranking; no per-item sale times are kept
+    n = 10 ** 6
+    cfg = SimulationConfig(rates=discrete_rates(n, LOW_A, LOW_B), horizon=0.01, seed=1,
+                           observe_times=np.array([0.01]))
+    drop = lambda *args: None
+    tracemalloc.start()
+    try:
+        run_simulation(cfg, sink=drop, snapshot_sink=drop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n
+
+
 def _replay_move_to_front(run):
     """Plain-list move-to-front replay of the event log: boundary counts and
     rank vectors at each observation, and first/last sale times."""
@@ -672,8 +714,8 @@ def test_bookkeeping_matches_move_to_front_replay(monkeypatch, chunk):
         assert [t for t, _ in taken] == cfg.observe_times.tolist()
         for (_, ranks), want in zip(taken, snapshots, strict=True):
             np.testing.assert_array_equal(ranks, want)
-        np.testing.assert_array_equal(run.first_sale, first)
-        np.testing.assert_array_equal(run.last_sale, last)
+        for got, want in zip(sale_times(run), (first, last), strict=True):
+            np.testing.assert_array_equal(got, want)
         assert boundary[0] == 0 and math.isinf(first[-1])
     np.testing.assert_array_equal(run.tracked_trajectory.ranks,
                                   [float(ranks[6]) for _, ranks in taken])
