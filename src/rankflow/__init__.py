@@ -16,12 +16,10 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "dist": ["SalesRateDistribution", "discrete_rates", "laplace_transform",
              "load_rates_csv", "save_rates_csv"],
-    "fit": ["Descent", "FitOptions", "FitResult", "RankingTrajectory", "Regime",
-            "RegimeReport", "chi2", "classify_regime", "fit_pareto"],
+    "fit": ["Descent", "FitOptions", "FitResult", "RankingTrajectory", "chi2", "fit_pareto"],
     "limit": ["DivergenceError", "SalesShareReport", "build_share_report", "invert_y_c",
-              "nonstationary_joint_cdf", "q_of_r", "sales_share_potential",
-              "sales_share_ranking", "stationary_joint_cdf", "x_c", "y_c",
-              "y_c_short_time"],
+              "nonstationary_joint_cdf", "sales_share_potential", "sales_share_ranking",
+              "stationary_joint_cdf", "y_c"],
     "sim": ["CapacityError", "SimulationConfig", "SimulationRun", "empirical_joint_measure",
             "load_events_csv", "load_snapshot_csv", "run_simulation",
             "synthesize_noisy_trajectory"],

@@ -155,6 +155,8 @@ def _load_sim_config(path: str) -> tuple[SimulationConfig, bool]:
             key = key.strip()
             if key not in required | optional:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             values[key] = value.strip()
     missing = required - values.keys()
     if missing:

@@ -13,7 +13,6 @@ the same batched call. Fitting imports no scipy.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,11 +29,8 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "Descent",
-    "Regime",
-    "RegimeReport",
     "chi2",
     "fit_pareto",
-    "classify_regime",
 ]
 
 TRAJECTORY_HEADER = ["t_hours", "rank"]
@@ -81,9 +77,6 @@ class RankingTrajectory:
     @property
     def n_d(self) -> int:
         return int(self.times.size)
-
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.ranks.tolist()))
 
     def to_csv(self, path) -> None:
         with open_csv(path, TRAJECTORY_HEADER) as fh:
@@ -329,32 +322,3 @@ def fit_pareto(traj: RankingTrajectory, options: FitOptions | None = None) -> Fi
         delta_y_c=math.sqrt(best.chi2 / traj.n_d) / best.n,
         converged=best.success, starts_tried=len(starts), starts=outcomes,
     )
-
-
-class Regime(enum.Enum):
-    GREAT_HITS = "great_hits"    # b < 1: top items dominate total sales
-    LONG_TAIL = "long_tail"      # b > 1: the aggregate of slow sellers dominates
-    INDETERMINATE = "indeterminate"
-
-
-@dataclass
-class RegimeReport:
-    regime: Regime
-    short_time_shape: str        # early trajectory shape implied by b
-
-
-def classify_regime(result: FitResult, guard: float = 0.02) -> RegimeReport:
-    """Which side of b = 1 the fitted exponent falls on.
-
-    Within ``guard`` of 1 the call is indeterminate. The short-time shape
-    notes whether the trajectory should leave t = 0 tangent to the ranking
-    axis (like t^b, b < 1) or linearly (b > 1).
-    """
-    if not result.converged:
-        raise ValueError("regime classification needs a converged fit")
-    b = result.b_star
-    if abs(b - 1.0) < guard:
-        return RegimeReport(Regime.INDETERMINATE, "indeterminate")
-    if b < 1.0:
-        return RegimeReport(Regime.GREAT_HITS, f"concave, rises like t^{b:.4g}")
-    return RegimeReport(Regime.LONG_TAIL, "linear")

@@ -27,10 +27,7 @@ __all__ = [
     "DivergenceError",
     "SalesShareReport",
     "y_c",
-    "y_c_short_time",
-    "x_c",
     "invert_y_c",
-    "q_of_r",
     "sales_share_potential",
     "sales_share_ranking",
     "stationary_joint_cdf",
@@ -65,30 +62,6 @@ def _pareto_y_grid(a, b, t: np.ndarray) -> np.ndarray:
     return -np.expm1(-q) + _pareto_p(b, q)
 
 
-def y_c_short_time(dist: SalesRateDistribution, t):
-    """Leading small-t behavior (a t)^b Gamma(1-b) of the curve, b < 1 only.
-
-    The t^b rise is what makes observed trajectories start tangent to the
-    ranking axis in the great-hits regime.
-    """
-    if dist.kind != "pareto":
-        raise ValueError("short-time form applies to power-law distributions")
-    if dist.b >= 1.0:
-        raise ValueError("short-time t^b form requires b < 1 (b > 1 rises linearly)")
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 0.0):
-        raise ValueError("time t must be non-negative (and not NaN)")
-    out = (dist.a * t_arr) ** dist.b * math.gamma(1.0 - dist.b)
-    return float(out) if t_arr.ndim == 0 else out
-
-
-def x_c(dist: SalesRateDistribution, t, n_titles: int):
-    """Expected ranking number: n_titles times the scaled curve."""
-    if n_titles < 1:
-        raise ValueError("n_titles must be >= 1")
-    return n_titles * y_c(dist, t)
-
-
 def invert_y_c(dist: SalesRateDistribution, y):
     """Elapsed time t0 with y_c(t0) = y, for a level or an array of levels
     in [0, 1).
@@ -96,8 +69,9 @@ def invert_y_c(dist: SalesRateDistribution, y):
     All levels are solved together, one curve call per step over the lanes
     still open. Each lane's t doubles or halves from 1/a until a factor-2
     bracket encloses its level, which is then bisected to a width of a few
-    ulps of t: a relative tolerance, so large t converge as fast as small,
-    and every step strictly shrinks the bracket.
+    ulps of t: a relative tolerance, so large t converge as fast as small.
+    At subnormal t that width is below the spacing of doubles, so a lane
+    also closes once its midpoint rounds onto an end of the bracket.
     Derivative-based steps are avoided because the curve is stiff near
     t = 0 for b < 1.
     """
@@ -120,26 +94,9 @@ def invert_y_c(dist: SalesRateDistribution, y):
         if np.any(bad):
             raise RuntimeError(f"could not bracket y={y[act][bad][0]}; "
                                "the curve does not resolve it")
+        act = act[(lo[act] < t[act]) & (t[act] < hi[act])]
     t0 = (0.5 * (lo + hi)).reshape(y_arr.shape)
     return float(t0) if y_arr.ndim == 0 else t0
-
-
-def q_of_r(dist: SalesRateDistribution, r: float) -> float:
-    """Dimensionless inverse q(r) = a * t0(r) of the rank-fraction curve.
-
-    Returns exactly 0.0 at r = 0 and math.inf at r = 1 (the inverse
-    diverges there); intermediate values come from :func:`invert_y_c`.
-    """
-    if dist.kind != "pareto":
-        raise ValueError("q(r) is defined for power-law distributions")
-    r = float(r)
-    if r < 0.0 or r > 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    if r == 0.0:
-        return 0.0
-    if r == 1.0:
-        return math.inf
-    return dist.a * invert_y_c(dist, r)
 
 
 def _check_band(r1: float, r2: float) -> tuple[float, float]:

@@ -167,6 +167,18 @@ class TestSharesCommand:
         assert report.s_potential == pytest.approx(1.005 * (1.0 - report.r), rel=1e-2)
         assert report.ratio == pytest.approx(1.0, rel=1e-2)
 
+    def test_subnormal_crossing_times_finish(self, tmp_path):
+        # at a = 1e290 the levels 0.01 and 0.02 cross at subnormal t, where
+        # the inverter's bisection used to spin forever
+        out = tmp_path / "shares.csv"
+        proc = subprocess.run([sys.executable, "-m", "rankflow.cli", "shares", "--a", "1e290",
+                               "--b", "0.1", "--r-grid", "0.01:0.02:0.01", "-o", str(out)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        report = SalesShareReport.from_csv(out)
+        assert report.r.tolist() == [0.01, 0.02]
+        assert np.all(report.q > 0.0) and report.q[0] < report.q[1]
+
     def test_bad_parameters(self, tmp_path, capsys):
         assert cli.main(["shares", "--a", "-1", "--b", "1.2",
                          "-o", str(tmp_path / "s.csv")]) == 1
@@ -323,6 +335,16 @@ class TestSimulateCommand:
         missing.write_text("n_items=10\n")
         assert cli.main(["simulate", str(missing), "-o", str(tmp_path / "y")]) == 1
         assert "missing keys" in capsys.readouterr().err
+
+    def test_repeated_key_exits_one(self, tmp_path, capsys):
+        # a second seed= used to win silently
+        config = tmp_path / "twice.cfg"
+        write_sim_config(config, n_items=50, horizon=10.0, observe_every=10.0, seed=1)
+        config.write_text(config.read_text() + "seed=2\n")
+        assert cli.main(["simulate", str(config), "-o", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == \
+            f"rankflow: error: {config}:9: repeated key 'seed'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
 
     def test_streamed_outputs_match_csv_writer(self, tmp_path):
         config = tmp_path / "sim.cfg"

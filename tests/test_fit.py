@@ -13,9 +13,7 @@ from rankflow.fit import (
     FitOptions,
     FitResult,
     RankingTrajectory,
-    Regime,
     chi2,
-    classify_regime,
     fit_pareto,
 )
 from rankflow.fit import _projected_all
@@ -59,7 +57,7 @@ class TestTrajectory:
         np.testing.assert_allclose(back.times, traj.times)
         np.testing.assert_allclose(back.ranks, traj.ranks)
         assert back.n_d == 3
-        assert back.points()[1] == (2.5, 25.5)
+        assert (back.times[1], back.ranks[1]) == (2.5, 25.5)
 
     def test_csv_errors_carry_line_numbers(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -414,22 +412,3 @@ class TestStartReport:
         for n in (res.n_star * (1.0 - 1e-6), res.n_star * (1.0 + 1e-6)):
             assert chi2(traj, n, res.a_star, res.b_star) > res.chi2
 
-
-class TestRegime:
-    def _result(self, b, converged=True):
-        return FitResult(1e5, 1e-3, b, 0.0, 0.0, converged, 1)
-
-    def test_thresholds(self):
-        assert classify_regime(self._result(0.6312)).regime is Regime.GREAT_HITS
-        assert classify_regime(self._result(1.2)).regime is Regime.LONG_TAIL
-        assert classify_regime(self._result(1.005)).regime is Regime.INDETERMINATE
-        assert classify_regime(self._result(1.005), guard=0.001).regime \
-            is Regime.LONG_TAIL
-
-    def test_shape_diagnostic(self):
-        assert "concave" in classify_regime(self._result(0.5)).short_time_shape
-        assert classify_regime(self._result(1.5)).short_time_shape == "linear"
-
-    def test_requires_convergence(self):
-        with pytest.raises(ValueError):
-            classify_regime(self._result(0.5, converged=False))
