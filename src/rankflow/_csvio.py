@@ -2,10 +2,11 @@
 
 Rows match ``csv.writer``'s default dialect for numeric fields: no quoting,
 ``\\r\\n`` ends, and each number as Python's ``%d`` or ``%.12g`` writes it. A
-block of rows is a byte matrix: each field is its digit bytes ANDed with a
-mask row that zeroes the unused bytes and supplies the point and leading
-zeros, and deleting the zero bytes leaves the rows. Python formats the rare
-value whose rounding is in doubt, or that ``%g`` writes in exponent notation.
+block of rows is an array of records, each field's bytes and a separator, and
+deleting their zero bytes leaves the rows. Field bytes are 4-digit groups from
+tables, ANDed for ``%.12g`` with a mask row that supplies the point and zeroes.
+Python formats the rare value whose rounding is in doubt, or that ``%g``
+writes in exponent notation.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ import numpy as np
 
 _BLOCK = 16384  # rows per block
 
-# "0000".."9999" in memory order, from the two-digit table: as uint32 for %d,
-# and as uint64 with a 0xff byte after each digit for %.12g (entry 10000 is
-# all 0xff). _KEPT[g] is how many digits of group g stay without trailing zeros.
+# "0000".."9999" in memory order, from the two-digit table. For %d, as uint32:
+# _INT[g] is group g, _INT[10000 + g] has its leading zeros as \0, and
+# _INT[20000 + g] too but keeps a lone 0. For %.12g, as uint64 with a 0xff
+# byte after each digit (entry 10000 is all 0xff). _KEPT[g] is how many
+# digits of group g stay without trailing zeros.
 _DIGIT = np.arange(48, 58, dtype=np.uint8)  # ASCII "0".."9"
 _TWO = np.stack(np.broadcast_arrays(_DIGIT[:, None], _DIGIT), -1).reshape(100, 2)
 _FOUR = np.concatenate(np.broadcast_arrays(_TWO[:, None], _TWO), -1).reshape(10000, 4)
-_GROUP = _FOUR.view(np.uint32).ravel()
+_LEAD = np.cumprod(_FOUR == 48, axis=1) > 0  # each group's leading zeros
+_INT = np.where([0 * _LEAD, _LEAD, _LEAD & (np.arange(4) < 3)], 0, _FOUR)
+_INT = _INT.astype(np.uint8).view(np.uint32).ravel()
 _SPACED = np.full((10001, 8), 255, dtype=np.uint8)
 _SPACED[:10000, ::2] = _FOUR
 _SPACED = _SPACED.view(np.uint64).ravel()
@@ -41,14 +46,8 @@ _G_MASK = np.select(
      (_E >= 0) & (_POS == 9 + 2 * _E) & (_K > _E + 1),
      (_E < 0) & (_POS >= 3) & (_POS < 4 - _E)],
     [255, ord("."), np.array(list(b"\0\0\0" + b"0.000" + bytes(24)))],
-).astype(np.uint8).reshape(-1, 32)
+).astype(np.uint8).reshape(-1, 32).view(np.uint64).T.copy()  # a row per 8-byte lane
 _POW10 = np.array([float(10 ** k) for k in range(16)])  # exact doubles
-# a %d field is 12 zero-padded digits; mask row d - 1 keeps the last d
-_D_MASK = np.where(np.arange(12) >= 11 - np.arange(12)[:, None], 255, 0).astype(np.uint8)
-# _D_ROW[p, g]: the mask row of a value whose leading group is g at group p
-# (0 high, 1 mid, 2 low); 0 for g = 0
-_D_ROW = np.repeat(np.arange(4, dtype=np.int8), [10, 90, 900, 9000]) + np.int8([[8], [4], [0]])
-_D_ROW[:, 0] = 0
 
 
 def finite_float(text: str) -> float:
@@ -90,7 +89,8 @@ def open_csv(path, header):
 
 
 def _general_field(x):
-    """(True where Python must format, digit bytes, mask) of ``%.12g``."""
+    """(True where Python must format, field bytes) of ``%.12g``, as uint64
+    words: the digits of ``_SPACED`` ANDed with their mask row."""
     ok = (x > 0.0) & (x < np.inf)
     if not ok.all():
         x = np.where(ok, x, 1.0)
@@ -109,43 +109,44 @@ def _general_field(x):
     if odd.any() or carry.any():
         np.copyto(m, 1e11, where=odd | carry)
     # the 4-digit groups [high, mid, low] of m, split in exact float
-    # arithmetic below 1e12, after the prefix word when a value needs it
-    words = np.empty((m.size, 3 + bool(np.any(e < 0))), dtype=np.int64)
-    if words.shape[1] == 4:
-        words[:, 0] = 10000
-    top = np.floor(m / 1e4)
-    words[:, -1] = m - top * 1e4
-    words[:, -3] = high = np.floor(top / 1e4)
-    words[:, -2] = top - high * 1e4
+    # arithmetic below 1e12
+    top, high = np.floor(m / 1e4), np.floor(m / 1e8)
+    low, mid = (m - top * 1e4).astype(np.int64), (top - high * 1e4).astype(np.int64)
+    high = high.astype(np.int64)
+    lanes = 3 + bool(np.any(e < 0))  # the prefix word "...0.000" first
     # the kept digits of the low group, or of mid or high where it is zero
     e *= 13
-    e += _KEPT.take(words[:, -1]) + 60  # mask row (e + 4) * 13 + kept
-    zero = np.flatnonzero(words[:, -1] == 0)
-    mid = words[zero, -2]
-    e[zero] += np.where(mid > 0, _KEPT.take(mid) - 4, _KEPT.take(words[zero, -3]) - 8)
-    mask = _G_MASK[:, 32 - 8 * words.shape[1]:].take(e, axis=0, mode="clip")
-    return odd, _SPACED.take(words).view(np.uint8), mask
+    e += _KEPT.take(low) + 60  # mask row (e + 4) * 13 + kept
+    zero = np.flatnonzero(low == 0)
+    e[zero] += np.where(mid[zero] > 0, _KEPT.take(mid[zero]) - 4, _KEPT.take(high[zero]) - 8)
+    # each group's word ANDed with its lane of the mask row
+    out = np.empty((m.size, lanes), dtype=np.uint64)
+    for j, g in enumerate([10000, high, mid, low][4 - lanes:]):
+        np.bitwise_and(_SPACED.take(g), _G_MASK[4 - lanes + j].take(e, mode="clip"), out=out[:, j])
+    return odd, out
 
 
 def _int_field(v):
-    """Like ``_general_field``, in as many 4-digit groups as the longest needs."""
+    """Like ``_general_field``, as uint32 words: as many 4-digit groups as
+    the longest value needs, each from ``_INT``."""
     if v.dtype.kind not in "iu":
         raise ValueError(f"a %d field needs integers, got {v.dtype}")
     odd = (v < 0) | (v >= 10 ** 12)
-    if odd.any():
-        v = np.where(odd, 0, v)
+    v = np.where(odd, 0, v).astype(np.int64, copy=False)  # a copy, split in place
     top = int(v.max())
     groups = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)
-    words = np.empty((v.size, groups), dtype=np.int64)
-    words[:, -1] = v
-    for c in range(groups - 1, 0, -1):  # split off the low group
-        words[:, c - 1] = words[:, c] // 10 ** 4
-        words[:, c] -= words[:, c - 1] * 10 ** 4
-    # mask row digits - 1: the largest of each group's row from the table
-    digits = _D_ROW[3 - groups].take(words[:, 0])
-    for c in range(1, groups):
-        np.maximum(digits, _D_ROW[3 - groups + c].take(words[:, c]), out=digits)
-    return odd, _GROUP.take(words).view(np.uint8), _D_MASK[:, 12 - 4 * groups:].take(digits, axis=0)
+    out = np.empty((v.size, groups), dtype=np.uint32)
+    # split off the low group; a group with nothing above it drops its
+    # leading zeros, and the lowest keeps a lone 0
+    for c in range(groups - 1, 0, -1):
+        high = v // 10 ** 4
+        v -= high * 10 ** 4
+        np.add(v, 20000 if c == groups - 1 else 10000, out=v, where=high == 0)
+        out[:, c] = _INT.take(v, mode="clip")
+        v = high
+    v += 20000 if groups == 1 else 10000
+    out[:, 0] = _INT.take(v, mode="clip")
+    return odd, out
 
 
 def write_rows(fh, fmt: str, *columns) -> None:
@@ -163,13 +164,12 @@ def write_rows(fh, fmt: str, *columns) -> None:
             values.append(np.asarray(part, None if kind == "%d" else np.float64))
             fields.append((_int_field if kind == "%d" else _general_field)(values[-1]))
         rows = values[0].size
-        b = np.empty((rows, sum(w.shape[1] + 1 for _, w, _ in fields) + 1), dtype=np.uint8)
-        s = 0
-        for _, words, mask in fields:  # each field, then its , or \r
-            np.bitwise_and(words, mask, out=b[:, s:s + words.shape[1]])
-            s += words.shape[1] + 1
-            b[:, s - 1] = ord(",")
-        b[:, -2:] = [ord("\r"), ord("\n")]
+        # the row record: each field's bytes and its , (\r for the last), then \n
+        rec = np.empty(rows, ",".join(f"V{w.nbytes // rows},S1" for _, w in fields) + ",S1")
+        names = rec.dtype.names
+        for name, sep, (_, words) in zip(names[::2], names[1::2], fields):
+            rec[name], rec[sep] = words.view(rec.dtype[name]).ravel(), b","
+        rec[names[-2]], rec[names[-1]] = b"\r", b"\n"
         # runs of laid-out rows alternate with runs that Python formats
         odd = np.logical_or.reduce([f[0] for f in fields])
         cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist(), rows]
@@ -181,5 +181,5 @@ def write_rows(fh, fmt: str, *columns) -> None:
                     flat[j::len(values)] = v[a:z].tolist()
                 pieces.append((((fmt + "\r\n") * (z - a)) % tuple(flat)).encode())
             else:
-                pieces.append(b[a:z].tobytes().translate(None, b"\0"))
+                pieces.append(rec[a:z].tobytes().translate(None, b"\0"))
         fh.write(b"".join(pieces))

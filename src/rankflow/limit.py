@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # bracket width relative to t
-_BRACKET_CAP = 2.0 ** 80
+_BRACKET_CAP = 2.0 ** 80  # hours, times the start 1/a where that is longer
 
 
 class DivergenceError(ValueError):
@@ -70,6 +70,7 @@ def invert_y_c(dist: SalesRateDistribution, y):
     still open. Each lane's t doubles or halves from 1/a until a factor-2
     bracket encloses its level, which is then bisected to a width of a few
     ulps of t: a relative tolerance, so large t converge as fast as small.
+    A lane fails once t passes 2^80 max(1/a, 1) h or the largest double.
     At subnormal t that width is below the spacing of doubles, so a lane
     also closes once its midpoint rounds onto an end of the bracket.
     Derivative-based steps are avoided because the curve is stiff near
@@ -81,16 +82,20 @@ def invert_y_c(dist: SalesRateDistribution, y):
     y = y_arr.ravel()
     lo = np.zeros(y.shape)
     hi = np.where(y > 0.0, np.inf, 0.0)
-    t = np.full(y.shape, 1.0 / (dist.a if dist.a is not None else dist.rates.mean()))
+    start = 1.0 / (dist.a if dist.a is not None else dist.rates.mean())
+    cap = min(_BRACKET_CAP * max(start, 1.0), np.finfo(float).max)  # inf is past it
+    t = np.full(y.shape, start)
     act = np.flatnonzero(y > 0.0)
     while act.size:
         below = y_c(dist, t[act]) < y[act]
         lo[act[below]] = t[act[below]]
         hi[act[~below]] = t[act[~below]]
         act = act[(hi[act] == np.inf) | (hi[act] - lo[act] > _BISECT_RTOL * hi[act])]
-        # no upper end yet: double; otherwise bisect, which halves while lo = 0
-        t[act] = np.where(hi[act] == np.inf, 2.0 * lo[act], 0.5 * (lo[act] + hi[act]))
-        bad = (t[act] > _BRACKET_CAP) | (t[act] == 0.0)
+        # no upper end yet: double; otherwise bisect, which halves while lo = 0.
+        # A t doubled past the doubles is inf, past the cap
+        with np.errstate(over="ignore"):
+            t[act] = np.where(hi[act] == np.inf, 2.0 * lo[act], 0.5 * (lo[act] + hi[act]))
+        bad = (t[act] > cap) | (t[act] == 0.0)
         if np.any(bad):
             raise RuntimeError(f"could not bracket y={y[act][bad][0]}; "
                                "the curve does not resolve it")
@@ -111,7 +116,8 @@ def sales_share_potential(dist: SalesRateDistribution, r1: float, r2: float) -> 
     fractions r1 and r2 of the catalog.
 
     For the power law with b < 1 and gamma = 0 the head diverges, so r1 = 0
-    raises :class:`DivergenceError`; a cutoff gamma > 0 keeps it finite.
+    raises :class:`DivergenceError`; a cutoff gamma > 0 keeps it finite. So
+    does a flow past the double range, such as that of a = 1e308.
     """
     r1, r2 = _check_band(r1, r2)
     if dist.kind == "empirical":
@@ -121,7 +127,10 @@ def sales_share_potential(dist: SalesRateDistribution, r1: float, r2: float) -> 
         return float(w[i1:i2].sum() / n)
     flow = dist._potential_flow(r1, r2)
     if math.isinf(flow):
-        raise DivergenceError("head share is infinite for b < 1 without a cutoff")
+        if r1 == 0.0 and dist.b < 1.0 and dist.gamma == 0.0:
+            raise DivergenceError("head share is infinite for b < 1 without a cutoff")
+        raise DivergenceError(f"the sales flow of this law overflows (a = {dist.a:g}, "
+                              f"b = {dist.b:g})")
     return flow
 
 

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
-_SUB = 1 << 15  # coins drawn at once by _draw_chunk
+_SUB = 1 << 15  # coins drawn, and sales applied, at once
 
 
 class CapacityError(RuntimeError):
@@ -240,7 +240,10 @@ class _State:
         self.snapshot_sink = snapshot_sink
 
     def apply(self, items: np.ndarray, seq0: int) -> None:
-        np.maximum.at(self.last_seq, items, np.arange(seq0, seq0 + items.size))
+        # _SUB sales at a time, so their sequence numbers are never chunk-sized
+        for lo in range(0, items.size, _SUB):
+            part = items[lo:lo + _SUB]
+            np.maximum.at(self.last_seq, part, np.arange(seq0 + lo, seq0 + lo + part.size))
 
     def observe(self, theta: float) -> None:
         self.boundary.append(int(np.count_nonzero(self.last_seq >= 0)))

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 import rankflow
 import rankflow.cli as cli
-from rankflow._csvio import _BLOCK, write_rows
+from rankflow._csvio import _BLOCK, _general_field, _int_field, write_rows
 from rankflow.dist import SalesRateDistribution, discrete_rates, save_rates_csv
 from rankflow.fit import FitResult, RankingTrajectory, fit_pareto
-from rankflow.limit import SalesShareReport
+from rankflow.limit import SalesShareReport, y_c
 from rankflow.sim import (
     SimulationConfig,
     load_events_csv,
@@ -178,6 +178,29 @@ class TestSharesCommand:
         report = SalesShareReport.from_csv(out)
         assert report.r.tolist() == [0.01, 0.02]
         assert np.all(report.q > 0.0) and report.q[0] < report.q[1]
+
+    @pytest.mark.parametrize("a", ["1e-25", "1e-300"])
+    def test_tiny_scale_inverts_every_level(self, tmp_path, a):
+        # t0 = 1/a is past 2**80 h, the inverter's old fixed bracket cap, where
+        # a = 1e-25 exited 1 ("could not bracket y=0.01")
+        out = tmp_path / "shares.csv"
+        proc = subprocess.run([sys.executable, "-m", "rankflow.cli", "shares", "--a", a,
+                               "--b", str(LOW_B), "--r-grid", "0.01:0.99:0.49", "-o", str(out)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        report = SalesShareReport.from_csv(out)
+        assert report.r.tolist() == [0.01, 0.5, 0.99]
+        d = SalesRateDistribution.pareto(float(a), LOW_B)
+        np.testing.assert_allclose(y_c(d, report.q / float(a)), report.r, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("b", ["1.9", str(LOW_B)])
+    def test_overflowing_flow_is_not_called_a_divergent_head(self, tmp_path, capsys, b):
+        # the b < 1 head message was printed for b = 1.9, whose head is finite
+        assert cli.main(["shares", "--a", "1e308", "--b", b, "-o", str(tmp_path / "s.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "sales flow of this law overflows" in err and "b < 1" not in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_parameters(self, tmp_path, capsys):
         assert cli.main(["shares", "--a", "-1", "--b", "1.2",
@@ -716,6 +739,38 @@ class TestCsvWriters:
         ks = rng.integers(-5, 10 ** 13, n)
         assert written_text(["x", "k"], "%.12g,%d", xs, ks) == csv_writer_text(
             ["x", "k"], ([f"{x:.12g}", int(k)] for x, k in zip(xs, ks)))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64])
+    def test_blocks_of_different_layouts(self, dtype):
+        # each block lays out its own row record: block 1 has 1-group integers
+        # and no value below 1, block 2 has 3-group integers and values below
+        # 1 (after the prefix word), block 3 has zeros and rows Python formats
+        rng = np.random.default_rng(13)
+        blocks = [slice(0, _BLOCK), slice(_BLOCK, 2 * _BLOCK), slice(2 * _BLOCK, None)]
+        info = np.iinfo(dtype)
+        ints = np.empty((2, 2 * _BLOCK + 999), dtype=dtype)
+        ints[:, blocks[0]] = rng.integers(0, 10 ** 4, (2, _BLOCK), dtype=dtype)
+        ints[:, blocks[1]] = rng.integers(10 ** 8, min(info.max, 10 ** 12 - 1), (2, _BLOCK),
+                                          dtype=dtype, endpoint=True)
+        ints[:, blocks[2]] = rng.integers(max(info.min, -10 ** 5), info.max, (2, 999),
+                                          dtype=dtype, endpoint=True)
+        ints[:, 2 * _BLOCK::7] = 0
+        xs = np.concatenate([10.0 ** rng.uniform(0, 11, _BLOCK), 10.0 ** rng.uniform(-4, 0, _BLOCK),
+                             10.0 ** rng.uniform(-7, 14, 999)])
+        xs[2 * _BLOCK::5] = 0.0
+        xs[2 * _BLOCK + 1::11] = [_near_tie(m, e, 0) for m, e in zip(
+            rng.integers(10 ** 11, 10 ** 12, 91), rng.integers(-4, 12, 91))]
+        xs[2 * _BLOCK + 2::13] *= -1.0
+        for k, (groups, lanes) in enumerate([(1, 3), (3, 4)]):
+            assert _int_field(ints[0, blocks[k]])[1].shape[1] == groups
+            assert _general_field(xs[blocks[k]])[1].shape[1] == lanes
+        assert _general_field(xs[blocks[2]])[0].sum() > 100
+        buf = io.BytesIO()
+        write_rows(buf, "%d,%.12g,%d", ints[0], xs, ints[1])
+        got = buf.getvalue().decode().split("\r\n")
+        want = ("%d,%.12g,%d" % row for row in zip(ints[0].tolist(), xs.tolist(), ints[1].tolist()))
+        assert got.pop() == ""
+        assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want, strict=True)) if g != w] == []
 
     def test_integer_field_rejects_floats(self):
         with pytest.raises(ValueError, match="integers"):

@@ -133,6 +133,12 @@ class TestInversion:
         assert t[0] < fi.tiny and np.all(t > 0.0)
         np.testing.assert_allclose(y_c(d, t), ys, rtol=1e-12, atol=0.0)
 
+    def test_time_past_the_doubles_cannot_be_bracketed(self):
+        # at a = 1e-308 the level's t doubles past the largest double
+        d = SalesRateDistribution.pareto(1e-308, LOW_B)
+        with pytest.raises(RuntimeError, match="could not bracket y=0.999"):
+            invert_y_c(d, 0.999)
+
     def test_q_monotone(self):
         d = SalesRateDistribution.pareto(1.0, 1.2)
         qs = [d.a * invert_y_c(d, r) for r in np.arange(0.01, 1.0, 0.01)]
@@ -154,6 +160,15 @@ class TestPotentialShare:
     def test_head_divergence_below_one(self):
         with pytest.raises(DivergenceError):
             sales_share_potential(low2(), 0.0, 0.5)
+
+    def test_divergent_head_and_overflowing_flow_are_told_apart(self):
+        with pytest.raises(DivergenceError, match="infinite for b < 1 without a cutoff"):
+            sales_share_potential(SalesRateDistribution.pareto(1.0, LOW_B), 0.0, 1.0)
+        # a finite head (b > 1) and a band clear of the head, each past the
+        # double range at a = 1e308
+        for b, r1 in ((1.9, 0.0), (LOW_B, 0.5)):
+            with pytest.raises(DivergenceError, match="sales flow of this law overflows"):
+                sales_share_potential(SalesRateDistribution.pareto(1e308, b), r1, 1.0)
 
     def test_band_beyond_double_range_is_a_value_error(self):
         # (r1 + gamma)^((b - 1)/b) = 1e380 raised a bare OverflowError

@@ -454,6 +454,26 @@ def test_draw_chunk_working_set():
     assert peak <= 2 * 8 * sim_module._CHUNK + 2 ** 20
 
 
+def test_apply_working_set():
+    # a full chunk's sales are applied _SUB at a time, so no chunk-sized
+    # array of sequence numbers (4 MiB at _CHUNK = 2**19) is built
+    n = 10 ** 5
+    state = sim_module._State(SimulationConfig(rates=np.ones(n), horizon=1.0, seed=0), None)
+    items = np.random.default_rng(6).integers(0, n, sim_module._CHUNK)
+    seq0 = 7 * sim_module._CHUNK
+    state.apply(items[:10], 0)  # warm
+    tracemalloc.start()
+    try:
+        state.apply(items, seq0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    want = np.full(n, sim_module._NEVER, dtype=np.int64)
+    np.maximum.at(want, items, np.arange(seq0, seq0 + items.size))
+    np.testing.assert_array_equal(state.last_seq, want)
+
+
 def test_sink_streams_the_recorded_events():
     chunks = []
     cfg = dict(rates=discrete_rates(2000, 1.0, 0.8), horizon=15.0, seed=4,
