@@ -148,15 +148,24 @@ def _pareto_p(b, q: np.ndarray) -> np.ndarray:
     accuracy at small q; L cancels by a factor of about q/b at large q, where
     L ~ b e^-q / q. Beyond UNDERFLOW_P, where Gamma underflows and q^b could
     overflow, P takes its large-q limit e^-q, so L is exactly 0 and y exactly
-    1 there.
+    1 there. For b > 1, where q^b leaves the normal doubles (and near b = 2
+    Gamma overflows), P is q/(b-1) + Gamma(1-b) q^b + O(q^2), whose q^b term
+    is about 1e-3 of P near b = 1 and is dropped at the pole b = 2 (< 1 ulp).
     """
     q = np.asarray(q, dtype=float)
     bq = np.asarray(b)[:, None] if np.ndim(b) else b  # k b's: one per row of a (k, n) q
     live = (q > 0.0) & (q <= UNDERFLOW_P)
+    lq = np.log(np.where(live, q, 1.0))
+    qb = np.exp(bq * lq)
+    small = (qb < np.finfo(float).tiny) & (bq > 1.0)
     # lanes outside (0, UNDERFLOW_P] get q^b = 1 and Gamma = 0 (the kernel skips p = inf)
-    g = _gamma_upper_grid(1.0 - b, np.where(live, q, np.inf))
-    p = np.exp(bq * np.log(np.where(live, q, 1.0))) * g
-    return np.where(q > UNDERFLOW_P, np.exp(-q), p)
+    g = _gamma_upper_grid(1.0 - b, np.where(live & ~small, q, np.inf))
+    p = np.where(q > UNDERFLOW_P, np.exp(-q), qb * g)
+    if small.any():  # as q (1/(b-1) + Gamma(1-b) q^(b-1)), of a normal q^(b-1)
+        bm = np.where(bq > 1.0, bq - 1.0, 1.0)  # rows with b <= 1 have no such lanes
+        gb = [math.gamma(1.0 - v) if 1.0 < v < 2.0 else 0.0 for v in np.ravel(b)]
+        p = np.where(small, q * (1.0 / bm + np.reshape(gb, np.shape(bq)) * np.exp(bm * lq)), p)
+    return p
 
 
 def _pareto_laplace(b: float, q: np.ndarray) -> np.ndarray:
@@ -185,7 +194,9 @@ def _pareto_band(dist: SalesRateDistribution, f, t: np.ndarray,
     for w, sign in ((lo, 1.0), (hi, -1.0)):
         if w < math.inf:
             weight = g if w == w_cut else (1.0 + g) * (a / w) ** b
-            out += sign * weight * f(b, w * t)
+            with np.errstate(over="ignore"):  # q = inf has L = 0 and y = 1
+                wt = w * t
+            out += sign * weight * f(b, wt)
     return out
 
 
@@ -199,7 +210,8 @@ def laplace_transform(dist: SalesRateDistribution, t):
         raise ValueError("time t must be non-negative (and not NaN)")
     t = np.atleast_1d(t_arr)
     if dist.kind == "empirical":
-        out = np.exp(-np.multiply.outer(t, dist.rates)).mean(axis=-1)
+        with np.errstate(over="ignore"):  # w t = inf has e^-wt = 0
+            out = np.exp(-np.multiply.outer(t, dist.rates)).mean(axis=-1)
     else:
         out = np.clip(_pareto_band(dist, _pareto_laplace, t), 0.0, 1.0)
         out[t == 0.0] = 1.0  # the cutoff's two unit terms cancel only to an ulp

@@ -35,8 +35,8 @@ __all__ = [
     "build_share_report",
 ]
 
-_BISECT_RTOL = 4.0 * np.finfo(float).eps  # bracket width relative to t
-_BRACKET_CAP = 2.0 ** 80  # hours, times the start 1/a where that is longer
+# the bit pattern of inf; the doubles in [0, inf] have the integers from 0 to it
+_INF_BITS = int(np.array(np.inf).view(np.int64))
 
 
 class DivergenceError(ValueError):
@@ -64,43 +64,31 @@ def _pareto_y_grid(a, b, t: np.ndarray) -> np.ndarray:
 
 def invert_y_c(dist: SalesRateDistribution, y):
     """Elapsed time t0 with y_c(t0) = y, for a level or an array of levels
-    in [0, 1).
+    in [0, 1): the smallest double t0 with y_c(t0) >= y.
 
-    All levels are solved together, one curve call per step over the lanes
-    still open. Each lane's t doubles or halves from 1/a until a factor-2
-    bracket encloses its level, which is then bisected to a width of a few
-    ulps of t: a relative tolerance, so large t converge as fast as small.
-    A lane fails once t passes 2^80 max(1/a, 1) h or the largest double.
-    At subnormal t that width is below the spacing of doubles, so a lane
-    also closes once its midpoint rounds onto an end of the bracket.
-    Derivative-based steps are avoided because the curve is stiff near
-    t = 0 for b < 1.
+    Bisects the bit patterns of t, which as integers order the doubles in
+    [0, inf]. Each lane keeps y_c(lo) < y <= y_c(hi) from (-1, bits(inf)),
+    or from hi = 0 at level 0, with one curve call over all lanes per step;
+    after exactly 63 steps every bracket is one pattern wide, at any a and
+    at subnormal t. A level whose t0 is past the largest double raises
+    RuntimeError. The curve is stiff near t = 0 for b < 1, so no derivatives.
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all((y_arr >= 0.0) & (y_arr < 1.0)):
         raise ValueError("y must lie in [0, 1); the inverse diverges at 1")
     y = y_arr.ravel()
-    lo = np.zeros(y.shape)
-    hi = np.where(y > 0.0, np.inf, 0.0)
-    start = 1.0 / (dist.a if dist.a is not None else dist.rates.mean())
-    cap = min(_BRACKET_CAP * max(start, 1.0), np.finfo(float).max)  # inf is past it
-    t = np.full(y.shape, start)
-    act = np.flatnonzero(y > 0.0)
-    while act.size:
-        below = y_c(dist, t[act]) < y[act]
-        lo[act[below]] = t[act[below]]
-        hi[act[~below]] = t[act[~below]]
-        act = act[(hi[act] == np.inf) | (hi[act] - lo[act] > _BISECT_RTOL * hi[act])]
-        # no upper end yet: double; otherwise bisect, which halves while lo = 0.
-        # A t doubled past the doubles is inf, past the cap
-        with np.errstate(over="ignore"):
-            t[act] = np.where(hi[act] == np.inf, 2.0 * lo[act], 0.5 * (lo[act] + hi[act]))
-        bad = (t[act] > cap) | (t[act] == 0.0)
-        if np.any(bad):
-            raise RuntimeError(f"could not bracket y={y[act][bad][0]}; "
-                               "the curve does not resolve it")
-        act = act[(lo[act] < t[act]) & (t[act] < hi[act])]
-    t0 = (0.5 * (lo + hi)).reshape(y_arr.shape)
+    lo = np.full(y.shape, -1, dtype=np.int64)
+    hi = np.where(y > 0.0, _INF_BITS, 0)
+    for _ in range(63):
+        # a one-wide bracket re-probes hi, so no lane probes -1 (a NaN pattern)
+        mid = hi - (hi - lo) // 2
+        below = y_c(dist, mid.view(float)) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    if np.any(hi == _INF_BITS):
+        raise RuntimeError(f"could not bracket y={y[hi == _INF_BITS][0]}; "
+                           "the curve does not resolve it")
+    t0 = hi.view(float).reshape(y_arr.shape)
     return float(t0) if y_arr.ndim == 0 else t0
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -49,6 +50,18 @@ def csv_writer_text(header, rows):
 def read_raw(path):
     with open(path, newline="") as fh:
         return fh.read()
+
+
+def assert_same_text(got, want):
+    """Exact equality of two file texts, compared as lists of lines: a
+    mismatch fails with the count and the first three differing rows, where
+    pytest's diff of two megabyte strings runs for minutes."""
+    __tracebackhide__ = True
+    g, w = got.split("\n"), want.split("\n")  # a lost "\r" stays visible
+    diff = [(i, a, b) for i, (a, b) in enumerate(itertools.zip_longest(g, w)) if a != b]
+    if diff:
+        pytest.fail(f"{len(diff)} of {max(len(g), len(w))} lines differ (got {len(g)}, "
+                    f"want {len(w)}); first (line, got, want): {diff[:3]}")
 
 
 def low_trajectory_csv(tmp_path, sigma=1.441e4, seed=0, name="traj.csv"):
@@ -237,6 +250,20 @@ class TestEvalCommand:
         lines = capsys.readouterr().out.splitlines()[1:]
         assert lines == ["1e+300,1,10", "1e+308,1,10"]
 
+    @pytest.mark.parametrize("law, times, rows", [
+        (["--a", "1", "--b", "2"], "0,1e-310,5e-324",
+         ["0,0,0", "1e-310,0,0", "4.94065645841e-324,0,0"]),
+        (["--a", "1e308", "--b", "0.5"], "10,1e300", ["10,1,10", "1e+300,1,10"]),
+    ])
+    def test_q_at_the_ends_of_the_doubles_prints_no_nan_or_warning(self, capsys, law,
+                                                                   times, rows):
+        # at b = 2 and subnormal q, q^b underflowed as Gamma overflowed: 1e-310
+        # printed nan with two warnings; a q = a t past the doubles warned too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", *law, "--n", "10", "--times", times]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == rows
+
     def test_cutoff_beyond_double_range_is_a_one_line_error(self, capsys):
         assert cli.main(["eval", "--a", "1", "--b", "0.01", "--gamma", "1e-5",
                          "--n", "10", "--times", "1"]) == 1
@@ -383,17 +410,17 @@ class TestSimulateCommand:
         events = csv_writer_text(["t", "item"],
                                  ([f"{t:.12g}", int(i)] for t, i in
                                   zip(run.event_times, run.event_items)))
-        assert read_raw(f"{prefix}_events.csv") == events
+        assert_same_text(read_raw(f"{prefix}_events.csv"), events)
         assert len(taken) == run.observe_times.size
         for k, (_, ranks) in enumerate(taken):
             snap = csv_writer_text(["item", "w", "rank"],
                                    ([i, f"{cfg.rates[i]:.12g}", int(ranks[i])]
                                     for i in range(run.n_items)))
-            assert read_raw(f"{prefix}_snapshot_{k:04d}.csv") == snap
+            assert_same_text(read_raw(f"{prefix}_snapshot_{k:04d}.csv"), snap)
         traj = run.tracked_trajectory
-        assert read_raw(f"{prefix}_trajectory.csv") == csv_writer_text(
+        assert_same_text(read_raw(f"{prefix}_trajectory.csv"), csv_writer_text(
             ["t_hours", "rank"], ([f"{t:.12g}", f"{r:.12g}"]
-                                  for t, r in zip(traj.times, traj.ranks)))
+                                  for t, r in zip(traj.times, traj.ranks))))
 
     @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
                         reason="golden bytes are those of numpy on x86-64 Linux")
@@ -689,8 +716,8 @@ class TestCsvWriters:
         ks = np.array([k for _, k in rows], dtype=np.int64)
         items = range(start, start + len(rows))
         header = ["item", "x", "k"]
-        assert written_text(header, "%d,%.12g,%d", items, xs, ks) == csv_writer_text(
-            header, ([i, f"{x:.12g}", int(k)] for i, x, k in zip(items, xs, ks)))
+        assert_same_text(written_text(header, "%d,%.12g,%d", items, xs, ks), csv_writer_text(
+            header, ([i, f"{x:.12g}", int(k)] for i, x, k in zip(items, xs, ks))))
 
     def test_edges_match_percent_formatting(self):
         # every exponent class from one below %g's fixed range to one above it
@@ -715,15 +742,15 @@ class TestCsvWriters:
             classes.append([(v + 0.5 + s * 2.0 ** -j) * 10.0 ** (e - 11)
                             for v in m for s in (-1, 1) for j in (9, 10, 11, 12)])
         for xs in classes + [sum(classes, [])]:
-            assert written_text(["x"], "%.12g", np.array(xs)) == csv_writer_text(
-                ["x"], ([f"{x:.12g}"] for x in xs))
+            assert_same_text(written_text(["x"], "%.12g", np.array(xs)), csv_writer_text(
+                ["x"], ([f"{x:.12g}"] for x in xs)))
         edges = [0, 1, 9, 10, 9999, 10 ** 4, 10 ** 4 + 1, 10 ** 8 - 1, 10 ** 8,
                  10 ** 8 + 1, 10 ** 12 - 1]
         for k in range(1, len(edges) + 1):  # as many groups as the largest needs
             for ks in (edges[:k], edges[:k][::-1]):
                 for dtype in (np.int64, np.uint64):
-                    assert written_text(["k"], "%d", np.array(ks, dtype=dtype)) == \
-                        csv_writer_text(["k"], ([k] for k in ks))
+                    assert_same_text(written_text(["k"], "%d", np.array(ks, dtype=dtype)),
+                                     csv_writer_text(["k"], ([k] for k in ks)))
 
     def test_column_longer_than_a_block(self):
         # runs of Python-formatted rows (exponent notation, ties, zeros)
@@ -737,8 +764,8 @@ class TestCsvWriters:
         xs[ties] = [_near_tie(m, e, 0) for m, e in
                     zip(rng.integers(10 ** 11, 10 ** 12, 100), rng.integers(-4, 12, 100))]
         ks = rng.integers(-5, 10 ** 13, n)
-        assert written_text(["x", "k"], "%.12g,%d", xs, ks) == csv_writer_text(
-            ["x", "k"], ([f"{x:.12g}", int(k)] for x, k in zip(xs, ks)))
+        assert_same_text(written_text(["x", "k"], "%.12g,%d", xs, ks), csv_writer_text(
+            ["x", "k"], ([f"{x:.12g}", int(k)] for x, k in zip(xs, ks))))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64])
     def test_blocks_of_different_layouts(self, dtype):
@@ -782,15 +809,15 @@ class TestCsvWriters:
         ranks = 1.0 + rng.random(20000) * 1e6
         traj = RankingTrajectory(times, ranks)
         traj.to_csv(tmp_path / "traj.csv")
-        assert read_raw(tmp_path / "traj.csv") == csv_writer_text(
-            ["t_hours", "rank"], ([f"{t:.12g}", f"{r:.12g}"] for t, r in zip(times, ranks)))
+        assert_same_text(read_raw(tmp_path / "traj.csv"), csv_writer_text(
+            ["t_hours", "rank"], ([f"{t:.12g}", f"{r:.12g}"] for t, r in zip(times, ranks))))
         cols = rng.random((5, 40)) * 10.0 ** rng.integers(-12, 12, (5, 40))
         SalesShareReport(*cols).to_csv(tmp_path / "shares.csv")
-        assert read_raw(tmp_path / "shares.csv") == csv_writer_text(
-            SalesShareReport.CSV_HEADER, ([f"{v:.12g}" for v in row] for row in cols.T))
+        assert_same_text(read_raw(tmp_path / "shares.csv"), csv_writer_text(
+            SalesShareReport.CSV_HEADER, ([f"{v:.12g}" for v in row] for row in cols.T)))
         save_rates_csv(tmp_path / "rates.csv", ranks)
-        assert read_raw(tmp_path / "rates.csv") == csv_writer_text(
-            ["w"], ([f"{w:.12g}"] for w in ranks))
+        assert_same_text(read_raw(tmp_path / "rates.csv"), csv_writer_text(
+            ["w"], ([f"{w:.12g}"] for w in ranks)))
 
 
 class TestRoundTripInvariant:

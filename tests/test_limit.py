@@ -343,11 +343,33 @@ class TestArrayPath:
         SalesRateDistribution.pareto_cutoff(2.0, 1.5, 1e-2),
         SalesRateDistribution.pareto_cutoff(1.0, 0.3, 0.1),
         SalesRateDistribution.empirical([0.5, 1.0, 2.0, 4.0]),
+        SalesRateDistribution.pareto(1e-300, 1.9),
+        SalesRateDistribution.pareto(1e290, 0.1),
+        SalesRateDistribution.pareto(1.7e308, 0.5),
+        SalesRateDistribution.empirical([1e-3, 1e200]),
     ])
-    def test_array_equals_scalar_lane_by_lane(self, d):
+    def test_array_equals_scalar_lane_by_lane(self, d, monkeypatch):
         ys = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 0.99, 30), [0.9999]])
+        calls = []
+
+        def counted(dist, t):
+            calls.append(1)
+            return y_c(dist, t)
+
+        monkeypatch.setattr("rankflow.limit.y_c", counted)
         arr = invert_y_c(d, ys)
-        np.testing.assert_allclose(arr, [invert_y_c(d, y) for y in ys], rtol=1e-14, atol=0.0)
+        assert len(calls) <= 64
+        scalar = []
+        for y in ys:
+            calls.clear()
+            t0 = invert_y_c(d, y)
+            assert len(calls) <= 64
+            scalar.append(t0)
+            if y > 0.0:
+                # t0 is the smallest double whose curve reaches y; a one-lane
+                # call sees the values that the one-lane inversion saw
+                assert y_c(d, t0) >= y > y_c(d, np.nextafter(t0, 0.0)), (y, t0)
+        np.testing.assert_allclose(arr, scalar, rtol=1e-14, atol=0.0)
         assert arr[0] == 0.0
         grid = invert_y_c(d, ys.reshape(2, -1))  # any shape, solved in one pass
         np.testing.assert_array_equal(grid.ravel(), arr)
@@ -472,6 +494,26 @@ class TestPowerLawClosedForm:
             for b in _MP_BS:
                 got = _pareto_y_grid(1.0, b, np.array([1e3, 1e300, 1.7e308]))
                 assert list(got) == [1.0, 1.0, 1.0], b
+
+    @pytest.mark.parametrize("b", [1.01, 1.2, 1.5, 1.9, 2.0])
+    def test_curve_where_q_to_the_b_leaves_the_normal_doubles(self, b):
+        # for b > 1 and tiny q, q^b underflowed: y came out q (half the truth at
+        # b = 2), or nan where Gamma(1-b, q) also overflowed
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        qs = np.array([1e-160, 1e-200, 1e-300, 1e-310, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _pareto_y_grid(1.0, b, qs)
+            curve = y_c(SalesRateDistribution.pareto(1.0, b), qs)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(curve))
+        mb = mpmath.mpf(b)
+        for q, y, yc in zip(qs, got, curve):
+            mq = mpmath.mpf(float(q))
+            want = float(-mpmath.expm1(-mq) + mq ** mb * mpmath.gammainc(1 - mb, mq))
+            for v in (y, yc):
+                if abs(v) >= np.finfo(float).tiny:
+                    assert v == pytest.approx(want, rel=1e-12, abs=0.0), (b, q, v)
 
     @pytest.mark.parametrize("b", [1.0 - 2e-6, 1.0 + 2e-6, 1.5, 0.6312, 0.05, 0.3, 0.999,
                                    1.2, 1.999, 2.0])
